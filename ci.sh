@@ -16,6 +16,12 @@ cargo build --release --workspace
 echo "==> cargo test"
 cargo test -q --workspace
 
+echo "==> benchmark output checks (perfbench, its own workspace)"
+# The benchmark's per-workload output checks, including the corrupted-
+# output rejections; perfbench is a separate Cargo workspace, so the
+# workspace test step above does not reach it.
+cargo test -q --manifest-path perfbench/Cargo.toml
+
 echo "==> chaos suite (fault injection + recovery, pinned seeds)"
 cargo test -q -p csmpc-mpc --test chaos
 

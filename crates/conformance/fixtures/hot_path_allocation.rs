@@ -31,7 +31,7 @@ pub fn grouped(ids: &[u64]) -> BTreeMap<u64, u64> {
 
 // #[csmpc_hot]
 pub fn audited(ids: &[u64]) -> usize {
-    // conformance: allow(determinism)
+    // csmpc-allow(determinism): fixture checks the suppression path
     let tmp = BTreeMap::from([(0u64, ids.len() as u64)]);
     tmp.len()
 }

@@ -34,7 +34,7 @@ impl FixtureGraph {
         self.degs[v]
     }
 
-    // conformance: allow(unaccounted-primitive)
+    // csmpc-allow(unaccounted-primitive): fixture checks the suppression path
     pub fn suppressed_probe(&self, cluster: &mut Cluster) -> usize {
         let _ = cluster.num_machines();
         self.n

@@ -4,18 +4,23 @@
 //! dependency-free source scanner that enforces the repository's MPC-model
 //! discipline (the runtime half lives in `csmpc_core::conformance`).
 //!
-//! Two layers share one diagnostic model:
+//! One front end feeds every lint: a dependency-free lexer ([`lex`])
+//! turns each file into line-stamped tokens plus a per-line comment table,
+//! and an item parser ([`syntax`]) recovers functions, impl blocks, call
+//! sites and `#[cfg(test)]` regions. Two layers of lints run on that
+//! model and share one diagnostic type:
 //!
-//! 1. **Token-level lints** (this module) — line-oriented scans over
-//!    scrubbed source. Cheap, zero-context, and intentionally local.
-//! 2. **Syntax-aware passes** ([`charge_flow`], [`races`],
-//!    [`stability_flow`]) — a dependency-free lexer ([`lex`]), item parser
-//!    ([`syntax`]), and workspace call graph ([`callgraph`]) feed three
-//!    interprocedural analyses that upgrade the accounting and stability
-//!    lints from textual to transitive, and add parallel-closure race
-//!    detection. [`analyze_workspace`] runs both layers, applies
-//!    `csmpc-allow` suppressions ([`suppress`]), and reports unused
-//!    suppressions; [`baseline`] gates CI on *new* findings only.
+//! 1. **Token lints** ([`token_lints`]) — per-file, zero-context scans of
+//!    the token stream and item structure.
+//! 2. **Interprocedural passes** ([`charge_flow`], [`races`],
+//!    [`stability_flow`]) — a workspace call graph ([`callgraph`]) lifts
+//!    the accounting and stability lints from textual to transitive, and
+//!    adds parallel-closure race detection.
+//!
+//! [`analyze_workspace`] walks `crates/*/src`, runs both layers, applies
+//! `csmpc-allow` suppressions ([`suppress`]) and reports unused ones;
+//! [`baseline`] gates CI on *new* findings only. [`check_source`] runs the
+//! token lints over a single source text.
 //!
 //! The lints, each tied to a definition of the source paper
 //! (*Component Stability in Low-Space Massively Parallel Computation*,
@@ -31,14 +36,16 @@
 //! * [`Lint::UnaccountedPrimitive`] — every public graph-touching
 //!   primitive in `crates/mpc/src/distributed.rs` that drives a
 //!   `&mut Cluster` must charge the `Stats` ledger (via `charge_rounds`,
-//!   `charge_words`, `charge_storage`, `require_fits`, `run_program`, or
-//!   `advance_rounds`) before returning. Unaccounted primitives silently
-//!   break the paper's round/space cost model (`S = n^φ`, Section 2.4.2).
-//! * [`Lint::RecoveryAccounting`] — in `crates/mpc/src/**`, a function
-//!   whose name marks it as a recovery path (`restore`, `recover`, or
-//!   `retry`) and that mutates cluster state (`&mut Cluster` in its
-//!   signature, or `&mut self` inside an inherent `impl Cluster` block)
-//!   must charge the `Stats` ledger. Recovery is never free: replaying
+//!   `charge_words`, `charge_storage`, `charge_recovery`, `charge_replay`,
+//!   `require_fits`, `run_program`, or `advance_rounds`) before returning.
+//!   Unaccounted primitives silently break the paper's round/space cost
+//!   model (`S = n^φ`, Section 2.4.2).
+//! * [`Lint::RecoveryAccounting`] — in `crates/mpc/src/**` and
+//!   `crates/service/src/**`, a function whose name marks it as a recovery
+//!   path (`restore`, `recover`, `retry`, `speculate`, `quarantine`,
+//!   `backoff`, or `replay`) and that mutates cluster state
+//!   (`&mut Cluster` in its signature, or `&mut self` inside an inherent
+//!   `impl Cluster` block) must charge the `Stats` ledger. Recovery is never free: replaying
 //!   rounds from a checkpoint and reshipping machine state are real costs
 //!   the cost model must see.
 //! * [`Lint::StabilityDiscipline`] — an `MpcVertexAlgorithm` impl that
@@ -58,9 +65,9 @@
 //!   are the approved entry points and pass by construction. The lint also
 //!   enforces the hot-path allocation discipline: a function marked with a
 //!   `// #[csmpc_hot]` comment must not touch ordered maps
-//!   (`BTreeMap`/`BTreeSet`) in its body — the reusable flat workspaces
-//!   (`csmpc_graph::ball::BallWorkspace`) exist precisely so the hot paths
-//!   never pay a per-call map allocation.
+//!   (`BTreeMap`/`BTreeSet`) in its signature or body — the reusable flat
+//!   workspaces (`csmpc_graph::ball::BallWorkspace`) exist precisely so
+//!   the hot paths never pay a per-call map allocation.
 //! * [`Lint::ChargeFlow`] — transitive cost accounting: every function
 //!   reachable from an engine entry point that mutates cluster state and
 //!   touches communication machinery must reach a `Stats` charge through
@@ -75,17 +82,16 @@
 //! * [`Lint::UnusedSuppression`] — a `csmpc-allow` annotation that
 //!   silences nothing is itself a finding (see [`suppress`]).
 //!
-//! Diagnostics carry `file:line` locations; a finding can be suppressed by
-//! placing `// conformance: allow(<lint>)` (or `allow(all)`) on the same or
-//! the immediately preceding line. [`Report::to_json`] renders a
-//! machine-readable summary.
+//! Diagnostics carry `file:line` locations. The only suppression syntax
+//! is `// csmpc-allow(<lint>): <reason>` (or `csmpc-allow(all): <reason>`)
+//! on the same or the immediately preceding line; the reason is
+//! mandatory, and an annotation without one suppresses nothing.
+//! [`Report::to_json`] and [`Report::to_sarif`] render machine-readable
+//! output.
 //!
-//! The scanner is token/line-level by design: it blanks comments and string
-//! literals, tracks `#[cfg(test)]` module regions (test code is exempt from
-//! [`Lint::Nondeterminism`]), and brace-counts function and impl bodies. It
-//! deliberately avoids a full parser — the lints only need identifier-level
-//! precision, and a zero-dependency analyzer can run anywhere the workspace
-//! builds.
+//! The front end deliberately stops short of a full Rust parser: the lints
+//! need identifier-level precision and item boundaries, and a
+//! zero-dependency analyzer can run anywhere the workspace builds.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -98,6 +104,7 @@ pub mod races;
 pub mod stability_flow;
 pub mod suppress;
 pub mod syntax;
+pub mod token_lints;
 
 use std::fmt;
 use std::fs;
@@ -419,845 +426,15 @@ pub(crate) fn json_escape(s: &str) -> String {
     out
 }
 
-// ---------------------------------------------------------------------------
-// Source scrubbing: blank comments and string/char literals so the lints
-// match code tokens only, while keeping comment text for suppressions.
-// ---------------------------------------------------------------------------
-
-/// A source file split into per-line code text (comments and literals
-/// blanked) and per-line comment text (for suppression lookup).
-#[derive(Debug, Clone, Default)]
-struct Scrubbed {
-    /// Code with comments and string/char literal *contents* removed.
-    code: Vec<String>,
-    /// Comment text, concatenated per line.
-    comments: Vec<String>,
-}
-
-fn scrub(source: &str) -> Scrubbed {
-    #[derive(Clone, Copy, PartialEq)]
-    enum State {
-        Code,
-        LineComment,
-        BlockComment(u32),
-        Str,
-        RawStr(usize),
-        CharLit,
-    }
-    let chars: Vec<char> = source.chars().collect();
-    let mut code = vec![String::new()];
-    let mut comments = vec![String::new()];
-    let mut state = State::Code;
-    let mut i = 0usize;
-    while i < chars.len() {
-        let c = chars[i];
-        if c == '\n' {
-            if state == State::LineComment {
-                state = State::Code;
-            }
-            code.push(String::new());
-            comments.push(String::new());
-            i += 1;
-            continue;
-        }
-        let line = code.len() - 1;
-        match state {
-            State::Code => {
-                let next = chars.get(i + 1).copied();
-                if c == '/' && next == Some('/') {
-                    state = State::LineComment;
-                    comments[line].push_str("//");
-                    i += 2;
-                } else if c == '/' && next == Some('*') {
-                    state = State::BlockComment(1);
-                    i += 2;
-                } else if c == 'r'
-                    && matches!(next, Some('"') | Some('#'))
-                    && !prev_is_ident(&chars, i)
-                {
-                    // Raw string r"..." / r#"..."# (any hash depth).
-                    let mut j = i + 1;
-                    let mut hashes = 0usize;
-                    while chars.get(j) == Some(&'#') {
-                        hashes += 1;
-                        j += 1;
-                    }
-                    if chars.get(j) == Some(&'"') {
-                        state = State::RawStr(hashes);
-                        i = j + 1;
-                    } else {
-                        code[line].push(c);
-                        i += 1;
-                    }
-                } else if c == '"' {
-                    state = State::Str;
-                    i += 1;
-                } else if c == '\'' {
-                    // Char literal vs lifetime: 'x' or '\x...' is a literal.
-                    if next == Some('\\') || (next.is_some() && chars.get(i + 2) == Some(&'\'')) {
-                        state = State::CharLit;
-                        i += 1;
-                    } else {
-                        code[line].push(c);
-                        i += 1;
-                    }
-                } else {
-                    code[line].push(c);
-                    i += 1;
-                }
-            }
-            State::LineComment => {
-                comments[line].push(c);
-                i += 1;
-            }
-            State::BlockComment(depth) => {
-                let next = chars.get(i + 1).copied();
-                if c == '/' && next == Some('*') {
-                    state = State::BlockComment(depth + 1);
-                    i += 2;
-                } else if c == '*' && next == Some('/') {
-                    state = if depth == 1 {
-                        State::Code
-                    } else {
-                        State::BlockComment(depth - 1)
-                    };
-                    i += 2;
-                } else {
-                    comments[line].push(c);
-                    i += 1;
-                }
-            }
-            State::Str => {
-                if c == '\\' {
-                    i += 2;
-                } else if c == '"' {
-                    state = State::Code;
-                    i += 1;
-                } else {
-                    i += 1;
-                }
-            }
-            State::RawStr(hashes) => {
-                if c == '"' {
-                    let closed = (1..=hashes).all(|k| chars.get(i + k) == Some(&'#'));
-                    if closed {
-                        state = State::Code;
-                        i += 1 + hashes;
-                    } else {
-                        i += 1;
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-            State::CharLit => {
-                if c == '\\' {
-                    i += 2;
-                } else if c == '\'' {
-                    state = State::Code;
-                    i += 1;
-                } else {
-                    i += 1;
-                }
-            }
-        }
-    }
-    Scrubbed { code, comments }
-}
-
-fn is_ident_char(c: char) -> bool {
-    c.is_ascii_alphanumeric() || c == '_'
-}
-
-fn prev_is_ident(chars: &[char], i: usize) -> bool {
-    i > 0 && is_ident_char(chars[i - 1])
-}
-
-/// `true` when `ident` occurs in `hay` as a standalone identifier.
-fn contains_ident(hay: &str, ident: &str) -> bool {
-    let mut start = 0usize;
-    while let Some(pos) = hay[start..].find(ident) {
-        let p = start + pos;
-        let before_ok = p == 0 || !hay[..p].ends_with(is_ident_char);
-        let after = p + ident.len();
-        let after_ok = after >= hay.len() || !hay[after..].starts_with(is_ident_char);
-        if before_ok && after_ok {
-            return true;
-        }
-        start = p + ident.len();
-    }
-    false
-}
-
-/// Index of the line on which the brace block opening at-or-after
-/// `start` closes (falls back to the last line for unbalanced input).
-fn block_end(code: &[String], start: usize) -> usize {
-    let mut depth = 0i64;
-    let mut opened = false;
-    for (j, line) in code.iter().enumerate().skip(start) {
-        for ch in line.chars() {
-            match ch {
-                '{' => {
-                    depth += 1;
-                    opened = true;
-                }
-                '}' => {
-                    depth -= 1;
-                    if opened && depth == 0 {
-                        return j;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    code.len().saturating_sub(1)
-}
-
-/// Marks lines belonging to `#[cfg(test)]` items (test modules are exempt
-/// from the nondeterminism lint — tests may use HashMap scaffolding).
-fn test_region_mask(code: &[String]) -> Vec<bool> {
-    let mut mask = vec![false; code.len()];
-    let mut i = 0usize;
-    while i < code.len() {
-        if code[i].contains("#[cfg(test)]") {
-            let mut depth = 0i64;
-            let mut opened = false;
-            let mut j = i;
-            while j < code.len() {
-                let mut done = false;
-                for ch in code[j].chars() {
-                    match ch {
-                        '{' => {
-                            depth += 1;
-                            opened = true;
-                        }
-                        '}' => {
-                            depth -= 1;
-                            if opened && depth == 0 {
-                                done = true;
-                                break;
-                            }
-                        }
-                        // `#[cfg(test)] use x;` — item ends without a block.
-                        ';' if !opened => {
-                            done = true;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                mask[j] = true;
-                if done {
-                    break;
-                }
-                j += 1;
-            }
-            i = j;
-        }
-        i += 1;
-    }
-    mask
-}
-
-// ---------------------------------------------------------------------------
-// Lint 1: nondeterminism
-// ---------------------------------------------------------------------------
-
-const NONDET_TOKENS: &[(&str, &str)] = &[
-    (
-        "SystemTime",
-        "wall-clock read; simulator runs must be replayable from csmpc_graph::rng::Seed (Definition 9)",
-    ),
-    (
-        "Instant",
-        "monotonic-clock read; simulator runs must be replayable from csmpc_graph::rng::Seed (Definition 9)",
-    ),
-    (
-        "thread_rng",
-        "OS-seeded RNG breaks replicability (Definition 9); derive randomness from csmpc_graph::rng::Seed",
-    ),
-    (
-        "OsRng",
-        "OS entropy breaks replicability (Definition 9); derive randomness from csmpc_graph::rng::Seed",
-    ),
-    (
-        "from_entropy",
-        "OS entropy breaks replicability (Definition 9); derive randomness from csmpc_graph::rng::Seed",
-    ),
-    (
-        "getrandom",
-        "OS entropy breaks replicability (Definition 9); derive randomness from csmpc_graph::rng::Seed",
-    ),
-    (
-        "RandomState",
-        "randomized hasher state makes iteration order nondeterministic; use BTreeMap/BTreeSet",
-    ),
-    (
-        "HashMap",
-        "iteration order is nondeterministic across runs; use BTreeMap so executions are replayable",
-    ),
-    (
-        "HashSet",
-        "iteration order is nondeterministic across runs; use BTreeSet so executions are replayable",
-    ),
-];
-
-fn lint_nondeterminism(scrubbed: &Scrubbed, mask: &[bool], file: &Path, out: &mut Vec<Diagnostic>) {
-    for (idx, line) in scrubbed.code.iter().enumerate() {
-        if mask[idx] {
-            continue;
-        }
-        for &(token, why) in NONDET_TOKENS {
-            if contains_ident(line, token) {
-                out.push(Diagnostic {
-                    lint: Lint::Nondeterminism,
-                    severity: Severity::Error,
-                    file: file.to_path_buf(),
-                    line: idx + 1,
-                    message: format!("use of `{token}`: {why}"),
-                    witness: Vec::new(),
-                });
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lint 2: unaccounted-primitive
-// ---------------------------------------------------------------------------
-
-const CHARGE_TOKENS: &[&str] = &[
-    "charge_rounds",
-    "charge_words",
-    "charge_storage",
-    "charge_recovery",
-    "charge_replay",
-    "require_fits",
-    "run_program",
-    "advance_rounds",
-];
-
-fn lint_unaccounted_primitive(
-    scrubbed: &Scrubbed,
-    mask: &[bool],
-    file: &Path,
-    out: &mut Vec<Diagnostic>,
-) {
-    let code = &scrubbed.code;
-    let mut i = 0usize;
-    while i < code.len() {
-        if mask[i] || !code[i].contains("pub fn") {
-            i += 1;
-            continue;
-        }
-        // Collect the signature up to the body-opening brace (or a `;`).
-        let mut sig = String::new();
-        let mut open_line = None;
-        let mut j = i;
-        while j < code.len() {
-            sig.push_str(&code[j]);
-            sig.push(' ');
-            if code[j].contains('{') {
-                open_line = Some(j);
-                break;
-            }
-            if code[j].contains(';') {
-                break;
-            }
-            j += 1;
-        }
-        let drives_cluster = sig
-            .split_whitespace()
-            .collect::<String>()
-            .contains("&mutCluster");
-        let Some(open) = open_line else {
-            i = j + 1;
-            continue;
-        };
-        if !drives_cluster {
-            i += 1;
-            continue;
-        }
-        let end = block_end(code, open);
-        let body = code[open..=end].join("\n");
-        if !CHARGE_TOKENS.iter().any(|t| contains_ident(&body, t)) {
-            let fn_name = sig
-                .split("fn ")
-                .nth(1)
-                .and_then(|rest| {
-                    let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
-                    (!name.is_empty()).then_some(name)
-                })
-                .unwrap_or_else(|| "<unknown>".to_string());
-            out.push(Diagnostic {
-                lint: Lint::UnaccountedPrimitive,
-                severity: Severity::Error,
-                file: file.to_path_buf(),
-                line: i + 1,
-                message: format!(
-                    "public primitive `{fn_name}` drives `&mut Cluster` but never charges the \
-                     Stats ledger (expected one of charge_rounds/charge_words/charge_storage/\
-                     charge_recovery/require_fits/run_program/advance_rounds); unaccounted \
-                     primitives break the S = n^phi cost model"
-                ),
-                witness: Vec::new(),
-            });
-        }
-        i = end + 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lint 3: recovery-accounting
-// ---------------------------------------------------------------------------
-
-/// Name fragments that mark a function as a recovery path. Beyond the
-/// checkpoint-restore family, the supervision layer's speculation,
-/// quarantine, and backoff paths all consume real rounds/words and must
-/// charge the ledger too.
-const RECOVERY_KEYWORDS: &[&str] = &[
-    "restore",
-    "recover",
-    "retry",
-    "speculate",
-    "quarantine",
-    "backoff",
-    "replay",
-];
-
-/// Marks lines inside inherent `impl Cluster` blocks (`impl Cluster {`,
-/// not `impl Trait for Cluster`), where `&mut self` means "mutates
-/// cluster state".
-fn cluster_impl_mask(code: &[String]) -> Vec<bool> {
-    let mut mask = vec![false; code.len()];
-    let mut i = 0usize;
-    while i < code.len() {
-        let trimmed = code[i].trim_start();
-        let inherent = trimmed.starts_with("impl")
-            && contains_ident(&code[i], "Cluster")
-            && !contains_ident(&code[i], "for");
-        if inherent {
-            let end = block_end(code, i);
-            for flag in mask.iter_mut().take(end + 1).skip(i) {
-                *flag = true;
-            }
-            i = end + 1;
-        } else {
-            i += 1;
-        }
-    }
-    mask
-}
-
-fn lint_recovery_accounting(
-    scrubbed: &Scrubbed,
-    mask: &[bool],
-    file: &Path,
-    out: &mut Vec<Diagnostic>,
-) {
-    let code = &scrubbed.code;
-    let in_cluster_impl = cluster_impl_mask(code);
-    let mut i = 0usize;
-    while i < code.len() {
-        if mask[i] || !contains_ident(&code[i], "fn") {
-            i += 1;
-            continue;
-        }
-        // Extract the function name following the `fn` keyword.
-        let Some(fn_name) = code[i].split("fn ").nth(1).and_then(|rest| {
-            let name: String = rest.chars().take_while(|&c| is_ident_char(c)).collect();
-            (!name.is_empty()).then_some(name)
-        }) else {
-            i += 1;
-            continue;
-        };
-        if !RECOVERY_KEYWORDS.iter().any(|kw| fn_name.contains(kw)) {
-            i += 1;
-            continue;
-        }
-        // Collect the signature up to the body-opening brace (or a `;` —
-        // a bodyless trait declaration is out of scope).
-        let mut sig = String::new();
-        let mut open_line = None;
-        let mut j = i;
-        while j < code.len() {
-            sig.push_str(&code[j]);
-            sig.push(' ');
-            if code[j].contains('{') {
-                open_line = Some(j);
-                break;
-            }
-            if code[j].contains(';') {
-                break;
-            }
-            j += 1;
-        }
-        let Some(open) = open_line else {
-            i = j + 1;
-            continue;
-        };
-        let flat: String = sig.split_whitespace().collect();
-        let mutates_cluster =
-            flat.contains("&mutCluster") || (flat.contains("&mutself") && in_cluster_impl[i]);
-        if !mutates_cluster {
-            i += 1;
-            continue;
-        }
-        let end = block_end(code, open);
-        let body = code[open..=end].join("\n");
-        if !CHARGE_TOKENS.iter().any(|t| contains_ident(&body, t)) {
-            out.push(Diagnostic {
-                lint: Lint::RecoveryAccounting,
-                severity: Severity::Error,
-                file: file.to_path_buf(),
-                line: i + 1,
-                message: format!(
-                    "recovery path `{fn_name}` mutates cluster state but never charges the \
-                     Stats ledger; recovery is never free — replayed rounds and reshipped \
-                     checkpoint words are real costs the model must see"
-                ),
-                witness: Vec::new(),
-            });
-        }
-        i = end + 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lint 4: stability-discipline
-// ---------------------------------------------------------------------------
-
-/// Global-mixing calls a component-stable algorithm must not make. The
-/// approved API is: `count_nodes`/`max_degree` (Definition 13 allows `n`
-/// and `Δ`) and component-local primitives (`neighbor_reduce`,
-/// `collect_balls`, `cc_labels`).
-const GLOBAL_MIX_CALLS: &[(&str, &str)] = &[
-    (
-        ".aggregate(",
-        "global aggregation mixes all components; Definition 13 allows a stable output to depend only on (CC(v), v, n, Delta, S)",
-    ),
-    (
-        ".broadcast(",
-        "broadcast hands every component a value of unrestricted origin; use count_nodes/max_degree for the global reads Definition 13 allows",
-    ),
-    (
-        ".select_best_global(",
-        "global winner selection is the canonical component-unstable step (Theorem 5)",
-    ),
-    (
-        "amplify(",
-        "success amplification selects a global winner and is component-unstable (Theorem 5)",
-    ),
-];
-
-fn declares_stable(block: &[String]) -> bool {
-    for (k, line) in block.iter().enumerate() {
-        if line.contains("fn component_stable") {
-            let end = block_end(block, k);
-            let body = block[k..=end].join(" ");
-            return contains_ident(&body, "true");
-        }
-    }
-    false
-}
-
-/// `true` when `line` calls `.name(` on a receiver other than `self`
-/// (node-name reads; stable outputs may depend on IDs, never names).
-fn has_nonself_name_call(line: &str) -> bool {
-    let mut start = 0usize;
-    while let Some(pos) = line[start..].find(".name(") {
-        let p = start + pos;
-        let recv_rev: String = line[..p]
-            .chars()
-            .rev()
-            .take_while(|&c| is_ident_char(c))
-            .collect();
-        let recv: String = recv_rev.chars().rev().collect();
-        if recv != "self" {
-            return true;
-        }
-        start = p + ".name(".len();
-    }
-    false
-}
-
-fn lint_stability_discipline(
-    scrubbed: &Scrubbed,
-    mask: &[bool],
-    file: &Path,
-    out: &mut Vec<Diagnostic>,
-) {
-    let code = &scrubbed.code;
-    let mut i = 0usize;
-    while i < code.len() {
-        let is_impl = code[i].contains("impl") && code[i].contains("MpcVertexAlgorithm for");
-        if mask[i] || !is_impl {
-            i += 1;
-            continue;
-        }
-        let end = block_end(code, i);
-        if declares_stable(&code[i..=end]) {
-            for (k, line) in code[i..=end].iter().enumerate() {
-                let abs = i + k;
-                if mask[abs] {
-                    continue;
-                }
-                for &(call, why) in GLOBAL_MIX_CALLS {
-                    if line.contains(call) {
-                        let shown = call.trim_start_matches('.').trim_end_matches('(');
-                        out.push(Diagnostic {
-                            lint: Lint::StabilityDiscipline,
-                            severity: Severity::Error,
-                            file: file.to_path_buf(),
-                            line: abs + 1,
-                            message: format!(
-                                "component-stable-declared algorithm calls `{shown}`: {why}"
-                            ),
-                            witness: Vec::new(),
-                        });
-                    }
-                }
-                if has_nonself_name_call(line) {
-                    out.push(Diagnostic {
-                        lint: Lint::StabilityDiscipline,
-                        severity: Severity::Error,
-                        file: file.to_path_buf(),
-                        line: abs + 1,
-                        message: "component-stable-declared algorithm reads a node *name*; \
-                                  Definition 13 allows outputs to depend on IDs, never names"
-                            .to_string(),
-                        witness: Vec::new(),
-                    });
-                }
-            }
-        }
-        i = end + 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Lint 5: determinism
-// ---------------------------------------------------------------------------
-
-/// Tokens that start a raw parallel-iterator chain. The
-/// `csmpc_parallel::par_map*` helpers deliberately contain none of these
-/// names, so code going through the approved entry points passes untouched.
-const PAR_TOKENS: &[&str] = &["par_iter", "par_iter_mut", "into_par_iter", "par_bridge"];
-
-/// How far a parallel chain may stretch before the scanner gives up looking
-/// for its order-fixing merge.
-const PAR_CHAIN_MAX_LINES: usize = 40;
-
-/// Comment marker naming a function as engine hot-path code; it must be
-/// the whole comment on its line (prose that merely *mentions* the marker
-/// does not mark anything). Marked functions run once per vertex per
-/// round (or tighter); the reusable flat workspaces exist so they never
-/// allocate an ordered map per call, and constructing one there silently
-/// reintroduces the churn the workspaces removed.
-const HOT_MARKER: &str = "// #[csmpc_hot]";
-
-/// Ordered-map identifiers forbidden inside hot-marked function bodies.
-const HOT_ALLOC_TOKENS: &[&str] = &["BTreeMap", "BTreeSet"];
-
-/// The hot-path arm of [`Lint::Determinism`]: scans function bodies whose
-/// declaration is preceded by a [`HOT_MARKER`] comment and flags any
-/// ordered-map mention inside them.
-fn lint_hot_allocations(
-    scrubbed: &Scrubbed,
-    mask: &[bool],
-    file: &Path,
-    out: &mut Vec<Diagnostic>,
-) {
-    let code = &scrubbed.code;
-    for (idx, comment) in scrubbed.comments.iter().enumerate() {
-        if comment.trim() != HOT_MARKER {
-            continue;
-        }
-        // The marker names the next function declaration at or below it.
-        let Some(fn_line) = (idx..code.len()).find(|&j| contains_ident(&code[j], "fn")) else {
-            continue;
-        };
-        let fn_name = code[fn_line]
-            .split("fn ")
-            .nth(1)
-            .map(|rest| {
-                rest.chars()
-                    .take_while(|&c| is_ident_char(c))
-                    .collect::<String>()
-            })
-            .filter(|name| !name.is_empty())
-            .unwrap_or_else(|| "<unknown>".to_string());
-        let mut open = None;
-        for (j, line) in code.iter().enumerate().skip(fn_line) {
-            if line.contains('{') {
-                open = Some(j);
-                break;
-            }
-            if line.contains(';') {
-                break;
-            }
-        }
-        let Some(open) = open else {
-            continue;
-        };
-        let end = block_end(code, open);
-        for (k, line) in code[open..=end].iter().enumerate() {
-            let abs = open + k;
-            if mask[abs] {
-                continue;
-            }
-            for &token in HOT_ALLOC_TOKENS {
-                if contains_ident(line, token) {
-                    out.push(Diagnostic {
-                        lint: Lint::Determinism,
-                        severity: Severity::Error,
-                        file: file.to_path_buf(),
-                        line: abs + 1,
-                        message: format!(
-                            "`{token}` inside `#[csmpc_hot]`-marked `{fn_name}`: hot-path code \
-                             must reuse the flat workspace buffers \
-                             (csmpc_graph::ball::BallWorkspace) instead of paying a per-call \
-                             ordered-map allocation"
-                        ),
-                        witness: Vec::new(),
-                    });
-                    break;
-                }
-            }
-        }
-    }
-}
-
-fn lint_determinism(scrubbed: &Scrubbed, mask: &[bool], file: &Path, out: &mut Vec<Diagnostic>) {
-    lint_hot_allocations(scrubbed, mask, file, out);
-    let code = &scrubbed.code;
-    let mut i = 0usize;
-    while i < code.len() {
-        if mask[i] || !PAR_TOKENS.iter().any(|t| contains_ident(&code[i], t)) {
-            i += 1;
-            continue;
-        }
-        // The chain: from the parallel-iterator call to the end of the
-        // statement (a `;`, or a `}` closing the surrounding tail
-        // expression), capped for unbalanced input.
-        let mut end = i;
-        for (j, line) in code
-            .iter()
-            .enumerate()
-            .skip(i)
-            .take(PAR_CHAIN_MAX_LINES.max(1))
-        {
-            end = j;
-            if line.contains(';') || line.contains('}') {
-                break;
-            }
-        }
-        let chain = code[i..=end].join("\n");
-        if chain.contains(".for_each(") || chain.contains(".reduce(") {
-            out.push(Diagnostic {
-                lint: Lint::Determinism,
-                severity: Severity::Error,
-                file: file.to_path_buf(),
-                line: i + 1,
-                message: "parallel iterator chain is consumed by `.for_each`/`.reduce`, whose \
-                          side-effect/merge order is unspecified; materialize results with an \
-                          order-preserving `.collect()` (or use csmpc_parallel::par_map*) so \
-                          sequential and parallel runs stay bit-identical"
-                    .to_string(),
-                witness: Vec::new(),
-            });
-        } else if !chain.contains(".collect") {
-            out.push(Diagnostic {
-                lint: Lint::Determinism,
-                severity: Severity::Error,
-                file: file.to_path_buf(),
-                line: i + 1,
-                message: "parallel iterator chain never materializes through an order-preserving \
-                          `.collect()`; results must be merged in item-index order (or use \
-                          csmpc_parallel::par_map*) so sequential and parallel runs stay \
-                          bit-identical"
-                    .to_string(),
-                witness: Vec::new(),
-            });
-        }
-        i = end + 1;
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Suppression + entry points
-// ---------------------------------------------------------------------------
-
-/// `true` when the comment text suppresses `lint`
-/// (`conformance: allow(<lint>)`, comma-separated lists, or `allow(all)`).
-fn comment_allows(comment: &str, lint: Lint) -> bool {
-    let mut rest = comment;
-    while let Some(pos) = rest.find("conformance: allow(") {
-        let after = &rest[pos + "conformance: allow(".len()..];
-        if let Some(close) = after.find(')') {
-            if after[..close]
-                .split(',')
-                .map(str::trim)
-                .any(|name| name == "all" || name == lint.name())
-            {
-                return true;
-            }
-            rest = &after[close..];
-        } else {
-            break;
-        }
-    }
-    false
-}
-
-fn is_suppressed(comments: &[String], line: usize, lint: Lint) -> bool {
-    // `line` is 1-indexed; check the same and the preceding line.
-    let same = comments
-        .get(line - 1)
-        .is_some_and(|c| comment_allows(c, lint));
-    let prev = line >= 2
-        && comments
-            .get(line - 2)
-            .is_some_and(|c| comment_allows(c, lint));
-    same || prev
-}
-
-/// Runs the given lints over one source text. `file` is used only for
-/// diagnostic locations.
+/// Runs the given token lints ([`token_lints`]) over one source text and
+/// drops findings silenced by a `csmpc-allow` annotation. `file` is used
+/// only for diagnostic locations. Interprocedural lints and
+/// unused-suppression reporting need the whole source set; they run in
+/// [`analyze_sources`].
 #[must_use]
 pub fn check_source(file: &Path, source: &str, lints: &[Lint]) -> Vec<Diagnostic> {
-    let scrubbed = scrub(source);
-    let mask = test_region_mask(&scrubbed.code);
-    let mut diags = Vec::new();
-    for &lint in lints {
-        match lint {
-            Lint::Nondeterminism => {
-                lint_nondeterminism(&scrubbed, &mask, file, &mut diags);
-            }
-            Lint::UnaccountedPrimitive => {
-                lint_unaccounted_primitive(&scrubbed, &mask, file, &mut diags);
-            }
-            Lint::RecoveryAccounting => {
-                lint_recovery_accounting(&scrubbed, &mask, file, &mut diags);
-            }
-            Lint::StabilityDiscipline => {
-                lint_stability_discipline(&scrubbed, &mask, file, &mut diags);
-            }
-            Lint::Determinism => {
-                lint_determinism(&scrubbed, &mask, file, &mut diags);
-            }
-            // Interprocedural lints need the whole workspace; they run in
-            // `analyze_sources`, not per file.
-            Lint::ChargeFlow
-            | Lint::ParClosureRace
-            | Lint::StabilityFlow
-            | Lint::UnusedSuppression => {}
-        }
-    }
-    diags.retain(|d| !is_suppressed(&scrubbed.comments, d.line, d.lint));
-    diags.sort_by_key(|a| (a.line, a.lint));
-    diags
+    let fm = syntax::parse_file(file.to_path_buf(), source);
+    suppress::filter(&fm.comments, token_lints::run(&fm, lints))
 }
 
 /// The lints that apply to a workspace-relative path (`/`-separated).
@@ -1305,13 +482,18 @@ pub fn lints_for_path(rel: &str) -> Vec<Lint> {
     lints
 }
 
+/// The entries of `dir`, sorted — a deterministic scan order, as the
+/// analyzer obeys its own nondeterminism rule.
+fn sorted_paths(dir: &Path) -> io::Result<Vec<PathBuf>> {
+    let mut paths = fs::read_dir(dir)?
+        .map(|e| e.map(|e| e.path()))
+        .collect::<io::Result<Vec<_>>>()?;
+    paths.sort();
+    Ok(paths)
+}
+
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
-    let mut entries: Vec<_> = fs::read_dir(dir)?.collect::<io::Result<_>>()?;
-    // Deterministic scan order — the analyzer obeys its own nondeterminism
-    // rule.
-    entries.sort_by_key(std::fs::DirEntry::file_name);
-    for entry in entries {
-        let path = entry.path();
+    for path in sorted_paths(dir)? {
         if path.is_dir() {
             collect_rs_files(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
@@ -1321,50 +503,8 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
     Ok(())
 }
 
-/// Scans `<root>/crates/*/src/**/*.rs`, applying each file's applicable
-/// lints ([`lints_for_path`]). Diagnostics use workspace-relative paths.
-///
-/// # Errors
-///
-/// I/O errors reading the tree.
-pub fn check_workspace(root: &Path) -> io::Result<Report> {
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<_> = fs::read_dir(&crates_dir)?
-        .collect::<io::Result<Vec<_>>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    let mut report = Report::default();
-    for crate_dir in crate_dirs {
-        let src = crate_dir.join("src");
-        if !src.is_dir() {
-            continue;
-        }
-        let mut files = Vec::new();
-        collect_rs_files(&src, &mut files)?;
-        for file in files {
-            let rel: String = file
-                .strip_prefix(root)
-                .unwrap_or(&file)
-                .components()
-                .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            let source = fs::read_to_string(&file)?;
-            let lints = lints_for_path(&rel);
-            report
-                .diagnostics
-                .extend(check_source(Path::new(&rel), &source, &lints));
-            report.files_scanned += 1;
-        }
-    }
-    Ok(report)
-}
-
-/// Runs **both** analysis layers — the token lints ([`check_source`],
-/// path-gated by [`lints_for_path`]) and the syntax-aware interprocedural
+/// Runs **both** analysis layers — the token lints ([`token_lints`],
+/// path-gated by [`lints_for_path`]) and the interprocedural
 /// passes ([`charge_flow`], [`races`], [`stability_flow`]) — over an
 /// in-memory source set, applies `csmpc-allow` suppressions, reports
 /// unused suppressions, and returns a normalized (sorted, deduped) report.
@@ -1384,90 +524,52 @@ pub fn analyze_sources(sources: &[(PathBuf, String)]) -> Report {
     pass_findings.extend(stability_flow::run(&files, &graph));
 
     let mut report = Report::default();
-    for ((path, source), fm) in sources.iter().zip(&files) {
-        let rel = path.display().to_string();
-        let mut file_findings = check_source(path, source, &lints_for_path(&rel));
-        file_findings.extend(pass_findings.iter().filter(|d| &d.file == path).cloned());
+    for fm in &files {
+        let rel = fm.path.display().to_string();
+        let mut file_findings = token_lints::run(fm, &lints_for_path(&rel));
+        file_findings.extend(pass_findings.iter().filter(|d| d.file == fm.path).cloned());
         report
             .diagnostics
-            .extend(suppress::apply(path, &fm.comments, file_findings));
+            .extend(suppress::apply(&fm.path, &fm.comments, file_findings));
         report.files_scanned += 1;
     }
     report.normalize();
     report
 }
 
-/// Full-engine workspace scan: reads `<root>/crates/*/src/**/*.rs` and
-/// runs [`analyze_sources`] over it. Diagnostics use workspace-relative
+/// The workspace scan (the only one): reads `<root>/crates/*/src/**/*.rs`
+/// and runs [`analyze_sources`] over it. Diagnostics use workspace-relative
 /// paths.
 ///
 /// # Errors
 ///
 /// I/O errors reading the tree.
 pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<_> = fs::read_dir(&crates_dir)?
-        .collect::<io::Result<Vec<_>>>()?
-        .into_iter()
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-    let mut sources = Vec::new();
-    for crate_dir in crate_dirs {
+    let mut files = Vec::new();
+    for crate_dir in sorted_paths(&root.join("crates"))? {
         let src = crate_dir.join("src");
-        if !src.is_dir() {
-            continue;
+        if src.is_dir() {
+            collect_rs_files(&src, &mut files)?;
         }
-        let mut files = Vec::new();
-        collect_rs_files(&src, &mut files)?;
-        for file in files {
-            let rel: String = file
+    }
+    let sources = files
+        .into_iter()
+        .map(|file| {
+            let rel: Vec<_> = file
                 .strip_prefix(root)
                 .unwrap_or(&file)
                 .components()
                 .map(|c| c.as_os_str().to_string_lossy())
-                .collect::<Vec<_>>()
-                .join("/");
-            sources.push((PathBuf::from(rel), fs::read_to_string(&file)?));
-        }
-    }
+                .collect();
+            Ok((PathBuf::from(rel.join("/")), fs::read_to_string(&file)?))
+        })
+        .collect::<io::Result<Vec<_>>>()?;
     Ok(analyze_sources(&sources))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    const ALL: &[Lint] = &[
-        Lint::Nondeterminism,
-        Lint::UnaccountedPrimitive,
-        Lint::RecoveryAccounting,
-        Lint::StabilityDiscipline,
-        Lint::Determinism,
-    ];
-
-    #[test]
-    fn scrub_blanks_comments_and_strings() {
-        let s = scrub("let x = \"HashMap\"; // HashMap here\nlet y = 1; /* Instant */");
-        assert!(!s.code[0].contains("HashMap"));
-        assert!(s.comments[0].contains("HashMap here"));
-        assert!(!s.code[1].contains("Instant"));
-    }
-
-    #[test]
-    fn scrub_handles_raw_strings_and_chars() {
-        let s = scrub("let p = r#\"thread_rng\"#; let c = '\\n'; let l: &'static str = x;");
-        assert!(!s.code[0].contains("thread_rng"));
-        assert!(s.code[0].contains("static"), "lifetime kept: {}", s.code[0]);
-    }
-
-    #[test]
-    fn ident_matching_requires_boundaries() {
-        assert!(contains_ident("use std::collections::HashMap;", "HashMap"));
-        assert!(!contains_ident("MyHashMapLike", "HashMap"));
-        assert!(!contains_ident("HashMapx", "HashMap"));
-    }
 
     #[test]
     fn nondeterminism_flags_clock_and_hash() {
@@ -1483,35 +585,6 @@ mod tests {
         let src = "fn ok() {}\n#[cfg(test)]\nmod tests {\n    use std::collections::HashSet;\n}\n";
         let d = check_source(Path::new("x.rs"), src, &[Lint::Nondeterminism]);
         assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn suppression_same_and_previous_line() {
-        let src = "\
-let a = HashMap::new(); // conformance: allow(nondeterminism)
-// conformance: allow(nondeterminism)
-let b = HashMap::new();
-let c = HashMap::new();
-";
-        let d = check_source(Path::new("x.rs"), src, &[Lint::Nondeterminism]);
-        assert_eq!(d.len(), 1);
-        assert_eq!(d[0].line, 4);
-    }
-
-    #[test]
-    fn allow_all_and_lists() {
-        assert!(comment_allows(
-            "// conformance: allow(all)",
-            Lint::Nondeterminism
-        ));
-        assert!(comment_allows(
-            "// conformance: allow(nondeterminism, stability-discipline)",
-            Lint::StabilityDiscipline
-        ));
-        assert!(!comment_allows(
-            "// conformance: allow(nondeterminism)",
-            Lint::StabilityDiscipline
-        ));
     }
 
     #[test]
@@ -1727,7 +800,7 @@ fn flat(&mut self, scratch: &mut Vec<u64>) -> usize {
 }
 // #[csmpc_hot]
 fn audited(&mut self) -> usize {
-    // conformance: allow(determinism)
+    // csmpc-allow(determinism): audited one-off construction
     let tmp = BTreeMap::from([(0u64, 1u64)]);
     tmp.len()
 }
@@ -1743,7 +816,7 @@ fn audited(&mut self) -> usize {
     #[test]
     fn determinism_suppressible_like_any_lint() {
         let src = "\
-// conformance: allow(determinism)
+// csmpc-allow(determinism): serial count on a tiny slice
 fn counted(v: &[u64]) -> usize { v.par_iter().count() }
 ";
         let d = check_source(Path::new("x.rs"), src, &[Lint::Determinism]);
@@ -1802,7 +875,7 @@ pub fn count(cluster: &mut Cluster) -> usize {
     m.len()
 }
 ";
-        let d = check_source(Path::new("x.rs"), src, ALL);
+        let d = check_source(Path::new("x.rs"), src, Lint::ALL);
         assert!(d.is_empty(), "{d:?}");
     }
 

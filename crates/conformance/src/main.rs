@@ -1,5 +1,5 @@
-//! `conformance` — run the full static analysis engine (token lints +
-//! interprocedural passes) over the workspace.
+//! `conformance` — run the static analysis engine (token lints +
+//! interprocedural passes, one shared front end) over the workspace.
 //!
 //! ```text
 //! conformance [--format text|json|sarif] [--baseline FILE]
@@ -47,14 +47,16 @@ fn usage() {
         "usage: conformance [--format text|json|sarif] [--baseline FILE]\n\
          \x20                  [--write-baseline FILE] [--sarif-out FILE] [ROOT]\n\
          \n\
-         Static model-conformance analysis: token lints (nondeterminism,\n\
+         Static model-conformance analysis of crates/*/src. One lexer and\n\
+         item parser feed the token lints (nondeterminism,\n\
          unaccounted-primitive, recovery-accounting, stability-discipline,\n\
-         determinism) plus interprocedural passes (charge-flow,\n\
+         determinism), the interprocedural passes (charge-flow,\n\
          par-closure-race, stability-flow) and suppression hygiene\n\
          (unused-suppression).\n\
          \n\
          Suppress a finding with `// csmpc-allow(<lint>): <reason>` on the\n\
-         same or the preceding line.\n\
+         same or the preceding line; this is the only suppression syntax,\n\
+         and an annotation without a reason suppresses nothing.\n\
          \n\
          Exit codes: 0 clean / all findings baselined, 1 new findings,\n\
          2 internal or usage error."

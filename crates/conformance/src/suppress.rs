@@ -3,15 +3,14 @@
 //! A suppression on line *L* silences findings of the named lint on line
 //! *L* (trailing comment) or line *L + 1* (comment-above style) of the
 //! same file. `csmpc-allow(all): <reason>` silences every lint at the
-//! location. Suppressions are expected to carry a reason — the reason is
-//! the reviewable artifact — and a suppression that silences nothing is
-//! itself a finding ([`crate::Lint::UnusedSuppression`]), so stale
-//! annotations cannot accumulate after the code they excused is fixed.
+//! location. This is the analyzer's only suppression syntax, and it
+//! covers token lints and interprocedural passes alike.
 //!
-//! The legacy `// conformance: allow(<lint>)` spelling is still honored by
-//! the token-level lints (see [`crate::check_source`]) but does not
-//! participate in unused-suppression detection; new annotations should use
-//! `csmpc-allow`.
+//! The reason is mandatory — it is the reviewable artifact — so an
+//! annotation without one silences nothing. A suppression that silences
+//! nothing (reason-less, unknown lint, or simply stale) is itself a
+//! finding ([`crate::Lint::UnusedSuppression`]), so stale annotations
+//! cannot accumulate after the code they excused is fixed.
 
 use crate::{Diagnostic, Lint, Severity};
 use std::path::Path;
@@ -25,7 +24,8 @@ pub struct Suppression {
     pub lint_name: String,
     /// Parsed lint; `None` for `all` or an unknown name.
     pub lint: Option<Lint>,
-    /// The reason text after the colon (may be empty if omitted).
+    /// The reason text after the colon (empty if omitted, in which case
+    /// the annotation silences nothing).
     pub reason: String,
 }
 
@@ -35,7 +35,10 @@ impl Suppression {
     pub fn covers(&self, lint: Lint, line: usize) -> bool {
         let lint_ok = self.lint_name == "all" || self.lint == Some(lint);
         // Never let a suppression swallow the unused-suppression meta-lint.
-        lint_ok && lint != Lint::UnusedSuppression && (line == self.line || line == self.line + 1)
+        !self.reason.is_empty()
+            && lint_ok
+            && lint != Lint::UnusedSuppression
+            && (line == self.line || line == self.line + 1)
     }
 }
 
@@ -80,13 +83,9 @@ pub fn parse_suppressions(comments: &[String]) -> Vec<Suppression> {
     out
 }
 
-/// Filters `findings` (all belonging to the file whose comment table and
-/// path are given) through the file's `csmpc-allow` annotations, then
-/// appends one [`Lint::UnusedSuppression`] finding per annotation that
-/// silenced nothing (or names an unknown lint).
-#[must_use]
-pub fn apply(path: &Path, comments: &[String], findings: Vec<Diagnostic>) -> Vec<Diagnostic> {
-    let sups = parse_suppressions(comments);
+/// Splits `findings` into those no annotation in `sups` covers, and a
+/// per-annotation "silenced something" flag.
+fn partition(sups: &[Suppression], findings: Vec<Diagnostic>) -> (Vec<Diagnostic>, Vec<bool>) {
     let mut used = vec![false; sups.len()];
     let mut kept = Vec::new();
     for d in findings {
@@ -101,6 +100,25 @@ pub fn apply(path: &Path, comments: &[String], findings: Vec<Diagnostic>) -> Vec
             kept.push(d);
         }
     }
+    (kept, used)
+}
+
+/// Drops the `findings` (all belonging to the file whose comment table is
+/// given) that a `csmpc-allow` annotation silences, without reporting
+/// unused annotations.
+#[must_use]
+pub fn filter(comments: &[String], findings: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    partition(&parse_suppressions(comments), findings).0
+}
+
+/// Filters `findings` (all belonging to the file whose comment table and
+/// path are given) through the file's `csmpc-allow` annotations, then
+/// appends one [`Lint::UnusedSuppression`] finding per annotation that
+/// silenced nothing (or names an unknown lint, or gives no reason).
+#[must_use]
+pub fn apply(path: &Path, comments: &[String], findings: Vec<Diagnostic>) -> Vec<Diagnostic> {
+    let sups = parse_suppressions(comments);
+    let (mut kept, used) = partition(&sups, findings);
     for (i, s) in sups.iter().enumerate() {
         if used[i] {
             continue;
@@ -110,6 +128,12 @@ pub fn apply(path: &Path, comments: &[String], findings: Vec<Diagnostic>) -> Vec
                 "csmpc-allow names unknown lint `{}`; it suppresses nothing (known lints: \
                  see `Lint::from_name`)",
                 s.lint_name
+            )
+        } else if s.reason.is_empty() {
+            format!(
+                "missing reason: `csmpc-allow({})` must say why after a colon \
+                 (`csmpc-allow({}): <reason>`); it suppresses nothing",
+                s.lint_name, s.lint_name
             )
         } else {
             format!(
@@ -235,6 +259,28 @@ mod tests {
         assert_eq!(kept.len(), 1);
         assert_eq!(kept[0].lint, Lint::UnusedSuppression);
         assert!(kept[0].message.contains("unknown lint"));
+    }
+
+    #[test]
+    fn reasonless_annotation_suppresses_nothing_and_is_reported() {
+        for spelling in ["// csmpc-allow(nondeterminism)", "// csmpc-allow(all):   "] {
+            let c = comments(&[(1, spelling)]);
+            let kept = apply(
+                Path::new("x.rs"),
+                &c,
+                vec![finding(Lint::Nondeterminism, 2)],
+            );
+            assert_eq!(kept.len(), 2, "{spelling}: {kept:?}");
+            assert_eq!(kept[0].lint, Lint::Nondeterminism);
+            assert_eq!(kept[1].lint, Lint::UnusedSuppression);
+            assert_eq!(kept[1].line, 1);
+            assert!(kept[1].message.contains("missing reason"), "{kept:?}");
+            assert_eq!(
+                filter(&c, vec![finding(Lint::Nondeterminism, 2)]).len(),
+                1,
+                "{spelling}"
+            );
+        }
     }
 
     #[test]

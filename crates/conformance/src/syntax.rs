@@ -53,6 +53,8 @@ pub struct FnItem {
     pub name: String,
     /// 1-indexed line of the `fn` keyword.
     pub line: usize,
+    /// Token index of the `fn` keyword.
+    pub tok: usize,
     /// `true` when a `pub` modifier precedes the declaration.
     pub is_pub: bool,
     /// Flattened signature text (whitespace-separated tokens from `fn` to
@@ -404,6 +406,7 @@ pub fn parse_file(path: PathBuf, source: &str) -> FileModel {
         fns.push(FnItem {
             name,
             line: toks[i].line,
+            tok: i,
             is_pub,
             sig,
             params,

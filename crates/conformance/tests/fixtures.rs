@@ -314,3 +314,41 @@ fn fixtures_stay_silent_for_other_lints() {
     assert!(scan_fixture("hot_path_allocation.rs", &[Lint::Nondeterminism]).is_empty());
     assert!(scan_fixture("hot_path_allocation.rs", &[Lint::StabilityDiscipline]).is_empty());
 }
+
+/// The fixtures' `csmpc-allow` annotations: (fixture, annotation line,
+/// lint, line of the finding it silences).
+const FIXTURE_SUPPRESSIONS: &[(&str, usize, Lint, usize)] = &[
+    (
+        "unaccounted_primitive.rs",
+        37,
+        Lint::UnaccountedPrimitive,
+        38,
+    ),
+    ("hot_path_allocation.rs", 34, Lint::Determinism, 35),
+    ("nondeterminism_violation.rs", 22, Lint::Nondeterminism, 23),
+    ("recovery_accounting.rs", 40, Lint::RecoveryAccounting, 41),
+    ("recovery_accounting.rs", 68, Lint::RecoveryAccounting, 69),
+];
+
+#[test]
+fn retired_conformance_allow_spelling_no_longer_suppresses() {
+    // `csmpc-allow(<lint>): <reason>` is the only suppression syntax. Put
+    // the retired `conformance: allow(<lint>)` spelling back on each
+    // annotated fixture line: the finding it sat on must surface.
+    for &(name, at, lint, hit) in FIXTURE_SUPPRESSIONS {
+        let source = read_fixture(name);
+        let annotated = check_source(Path::new(name), &source, &[lint]);
+        assert!(
+            !lines_of(&annotated).contains(&hit),
+            "{name}:{hit} should be suppressed: {annotated:#?}"
+        );
+        let mut retired: Vec<&str> = source.lines().collect();
+        let legacy = format!("// conformance: allow({lint})");
+        retired[at - 1] = &legacy;
+        let diags = check_source(Path::new(name), &retired.join("\n"), &[lint]);
+        assert!(
+            lines_of(&diags).contains(&hit),
+            "{name}:{hit} must surface under the retired spelling: {diags:#?}"
+        );
+    }
+}

@@ -1131,11 +1131,7 @@ impl Cluster {
                     checkpoint.as_ref(),
                 );
                 checkpoint = Some(cp);
-                self.stats.phase.checkpoint_ns = self
-                    .stats
-                    .phase
-                    .checkpoint_ns
-                    .saturating_add(timer.elapsed_ns());
+                timer.add_to(&mut self.stats.phase.checkpoint_ns);
             }
             let round_now = exec + 1;
 
@@ -1248,11 +1244,7 @@ impl Cluster {
                             &mut pending_retransmit,
                             &mut partition_held,
                         );
-                        self.stats.phase.checkpoint_ns = self
-                            .stats
-                            .phase
-                            .checkpoint_ns
-                            .saturating_add(timer.elapsed_ns());
+                        timer.add_to(&mut self.stats.phase.checkpoint_ns);
                         for &machine in &crashed {
                             self.recovery_log.push(RecoveryEvent {
                                 machine,
@@ -1298,11 +1290,7 @@ impl Cluster {
             // the routing buffer in arrival order — O(m + M), stable per
             // destination, allocation-free once the arena spines are warm.
             fabric.scatter(&mut incoming);
-            self.stats.phase.route_ns = self
-                .stats
-                .phase
-                .route_ns
-                .saturating_add(route_timer.elapsed_ns());
+            route_timer.add_to(&mut self.stats.phase.route_ns);
 
             let round = self.stats.rounds + 1;
             // Intake phase (sequential, machine-index order): enforce the
@@ -1336,11 +1324,7 @@ impl Cluster {
                     });
                 }
             }
-            self.stats.phase.intake_ns = self
-                .stats
-                .phase
-                .intake_ns
-                .saturating_add(intake_timer.elapsed_ns());
+            intake_timer.add_to(&mut self.stats.phase.intake_ns);
             // Step phase (concurrent under `ParallelismMode::Parallel`):
             // every participating machine runs its round. A shard sees only
             // its own state and its own inbox slice — a pure per-machine
@@ -1358,11 +1342,7 @@ impl Cluster {
                 let storage = shard.storage_words();
                 Some((outs, storage))
             });
-            self.stats.phase.step_ns = self
-                .stats
-                .phase
-                .step_ns
-                .saturating_add(step_timer.elapsed_ns());
+            step_timer.add_to(&mut self.stats.phase.step_ns);
             // Straggler carry (attributed to routing): a stalled machine's
             // undelivered slice moves back into the staging buffer *before*
             // this round's sends are merged, so next round's stable scatter
@@ -1380,11 +1360,7 @@ impl Cluster {
                     }
                 }
             }
-            self.stats.phase.route_ns = self
-                .stats
-                .phase
-                .route_ns
-                .saturating_add(carry_timer.elapsed_ns());
+            carry_timer.add_to(&mut self.stats.phase.route_ns);
             // Merge phase (sequential, fixed machine-index order): send
             // caps, storage charges, per-machine ledger deltas (absorbed
             // associatively into one round delta), component-tag
@@ -1548,11 +1524,7 @@ impl Cluster {
             }
             self.stats.rounds = self.stats.rounds.saturating_add(1);
             self.charge_words(round_delta.max_round_words, round_delta.total_words);
-            self.stats.phase.merge_ns = self
-                .stats
-                .phase
-                .merge_ns
-                .saturating_add(merge_timer.elapsed_ns());
+            merge_timer.add_to(&mut self.stats.phase.merge_ns);
             // A stalled machine has not had the chance to speak yet, so the
             // computation cannot be declared quiescent around it.
             let work_pending = !pending_retransmit.is_empty()

@@ -22,7 +22,7 @@
 use std::fmt;
 // Wall-clock handle for phase attribution; see the module docs for why
 // this is exempt from the replayability rule.
-// conformance: allow(nondeterminism)
+// csmpc-allow(nondeterminism): host wall-clock timing of engine phases, never read by the simulation
 use std::time::Instant;
 
 /// Cumulative wall-clock attribution of engine work, in nanoseconds.
@@ -88,7 +88,7 @@ impl fmt::Display for PhaseTimes {
 /// A started phase stopwatch; read it with [`PhaseTimer::elapsed_ns`].
 #[derive(Debug, Clone, Copy)]
 pub struct PhaseTimer {
-    // conformance: allow(nondeterminism)
+    // csmpc-allow(nondeterminism): host wall-clock stopwatch, never read by the simulation
     started: Instant,
 }
 
@@ -97,7 +97,7 @@ impl PhaseTimer {
     #[must_use]
     pub fn start() -> Self {
         PhaseTimer {
-            // conformance: allow(nondeterminism)
+            // csmpc-allow(nondeterminism): host wall-clock stopwatch, never read by the simulation
             started: Instant::now(),
         }
     }
@@ -106,6 +106,11 @@ impl PhaseTimer {
     #[must_use]
     pub fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.started.elapsed().as_nanos()).unwrap_or(u64::MAX)
+    }
+
+    /// Adds the elapsed nanoseconds to a phase counter (saturating).
+    pub fn add_to(&self, phase_ns: &mut u64) {
+        *phase_ns = phase_ns.saturating_add(self.elapsed_ns());
     }
 }
 
@@ -192,5 +197,16 @@ mod tests {
         let first = t.elapsed_ns();
         let second = t.elapsed_ns();
         assert!(second >= first);
+    }
+
+    #[test]
+    fn add_to_accumulates_and_saturates() {
+        let t = PhaseTimer::start();
+        let mut acc = 5;
+        t.add_to(&mut acc);
+        assert!(acc >= 5);
+        let mut full = u64::MAX;
+        t.add_to(&mut full);
+        assert_eq!(full, u64::MAX, "saturates, never wraps");
     }
 }

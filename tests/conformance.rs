@@ -1,20 +1,22 @@
 //! Workspace-level model-conformance gate.
 //!
-//! The static analyzer (`csmpc-conformance`) runs over the entire
-//! workspace from this integration test, so `cargo test` fails the moment
-//! anyone introduces a nondeterminism source, an unaccounted primitive, an
-//! uncharged recovery path, or a stability-discipline breach. The same
-//! scan is available as a binary
+//! The full static analyzer (`csmpc-conformance`: token lints plus the
+//! interprocedural charge-flow, par-closure-race and stability-flow
+//! passes, with suppression hygiene) runs over the entire workspace from
+//! this integration test, so `cargo test` fails the moment anyone
+//! introduces a nondeterminism source, an unaccounted primitive, an
+//! uncharged recovery path, a stability-discipline breach, or a stale
+//! `csmpc-allow`. The same scan is available as a binary
 //! (`cargo run -p csmpc-conformance --bin conformance`).
 
 use std::path::Path;
 
-use csmpc_conformance::{check_source, check_workspace, Lint};
+use csmpc_conformance::{analyze_workspace, check_source, Lint};
 
 #[test]
 fn workspace_has_zero_conformance_violations() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let report = check_workspace(root).expect("workspace scan");
+    let report = analyze_workspace(root).expect("workspace scan");
     assert!(
         report.files_scanned >= 40,
         "suspiciously few files scanned: {}",
