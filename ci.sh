@@ -64,20 +64,20 @@ echo "==> routing-equivalence suite (counting-sort fabric vs sort oracle)"
 cargo test -q -p csmpc-mpc --test routing_equivalence
 
 echo "==> bench smoke + perf-regression gate (vs committed BENCH_mpc_smoke.json)"
-# Writes BENCH_mpc_smoke.json (the committed full-size BENCH_mpc.json is
-# left untouched) and fails on gross per-workload regressions against the
-# committed smoke baseline. The gate is phase-aware: each row's route
-# phase is compared against the baseline's (warn above 1.5x, fail above
-# 3x past the noise floor), so a fabric regression trips even when step
-# time hides it in the wall-time tolerance. Threads are forced to 4 so
-# the run exercises the parallel dispatch path; per-row accounting books
-# effective workers as min(threads, cores), the sequential column (whose
-# wall time and phases do the gating) always runs one worker, and the
-# speedup gates still arm themselves only on genuinely multi-core
-# runners.
+# Writes target/bench/BENCH_mpc_smoke.json (no committed file is touched;
+# copy it over BENCH_mpc_smoke.json to refresh the baseline) and fails on
+# gross per-workload regressions against the committed smoke baseline.
+# The gate is phase-aware: each row's route phase is compared against the
+# baseline's (warn above 1.5x, fail above 3x past the noise floor), so a
+# fabric regression trips even when step time hides it in the wall-time
+# tolerance. Threads are forced to 4 so the run exercises the parallel
+# dispatch path; per-row accounting books effective workers as
+# min(threads, cores), the sequential column (whose wall time and phases
+# do the gating) always runs one worker, and the speedup gates still arm
+# themselves only on genuinely multi-core runners.
 RAYON_NUM_THREADS=4 cargo run -q --release -p csmpc-bench --bin perf -- \
     --smoke --gate BENCH_mpc_smoke.json
-test -s BENCH_mpc_smoke.json
+test -s target/bench/BENCH_mpc_smoke.json
 
 echo "==> steady-state allocation gate (alloc-count build)"
 # Rebuilds perf with the counting allocator installed and replays a warm
@@ -91,8 +91,8 @@ cargo run -q --release -p csmpc-bench --features alloc-count --bin perf -- \
 
 echo "==> job-service soak smoke + determinism + crash-recovery gates"
 # Pushes a 1200-job mixed batch (faults, poison jobs, shedding) through
-# the multi-tenant scheduler, writes BENCH_service_smoke.json (the
-# committed full-size BENCH_service.json is left untouched), and asserts
+# the multi-tenant scheduler, writes target/bench/BENCH_service_smoke.json
+# (no committed file is touched), and asserts
 # zero wedged queue states. --check-determinism then runs the SAME batch
 # with the SAME seeds through two services CONCURRENTLY and fails unless
 # every per-job output digest and Stats ledger is bit-identical — the
@@ -105,6 +105,6 @@ echo "==> job-service soak smoke + determinism + crash-recovery gates"
 # both gates exercise real worker contention even on small runners.
 RAYON_NUM_THREADS=4 cargo run -q --release -p csmpc-bench --bin soak -- \
     --smoke --check-determinism --crash-every 400
-test -s BENCH_service_smoke.json
+test -s target/bench/BENCH_service_smoke.json
 
 echo "CI green."

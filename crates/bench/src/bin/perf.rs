@@ -17,8 +17,10 @@
 //! "parallel" would launder a 1.0x speedup into a parallel claim.
 //!
 //! `--smoke` shrinks the sizes and repetition counts for the CI gate and
-//! writes `BENCH_mpc_smoke.json` instead, leaving the committed full
-//! baseline untouched. `--gate <path>` compares the run against a
+//! writes `target/bench/BENCH_mpc_smoke.json` instead, leaving every
+//! committed file untouched; to refresh the committed smoke baseline,
+//! copy that file over `BENCH_mpc_smoke.json` at the repository root.
+//! `--gate <path>` compares the run against a
 //! previously committed baseline JSON (matching workload/size rows) and
 //! fails on gross regressions; tolerances are deliberately generous
 //! (shared CI runners jitter), so only multi-x slowdowns trip it.
@@ -42,6 +44,14 @@ use csmpc_mpc::{
     SupervisorConfig,
 };
 use csmpc_problems::mis::LargeIndependentSet;
+
+/// Where `--smoke` writes its report: under the build directory, so a CI
+/// run leaves the committed `BENCH_mpc_smoke.json` baseline (the one
+/// `--gate` reads) as is.
+const SMOKE_OUT: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../target/bench/BENCH_mpc_smoke.json"
+);
 
 /// Per-row sequential wall-time tolerance for `--gate`: the current run
 /// may be up to this many times slower than the committed baseline row
@@ -1026,14 +1036,19 @@ fn main() {
     }
     json.push_str("  ]}\n}\n");
 
-    // Smoke runs write a separate file so the committed full-size
-    // baseline is never clobbered by a CI gate pass.
+    // Smoke runs write under the build directory, so neither the
+    // committed full-size baseline nor the committed smoke baseline that
+    // `--gate` reads is clobbered by a CI gate pass.
     let out = if smoke {
-        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mpc_smoke.json")
+        SMOKE_OUT
     } else {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_mpc.json")
     };
-    if let Err(e) = std::fs::write(out, &json) {
+    let written = std::path::Path::new(out)
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(out, &json));
+    if let Err(e) = written {
         eprintln!("FAIL: cannot write {out}: {e}");
         std::process::exit(2);
     }

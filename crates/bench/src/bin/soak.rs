@@ -7,8 +7,10 @@
 //! Flags:
 //!
 //! * `--smoke` — shrink to a CI-sized batch (still ≥ 1000 jobs) and
-//!   write `BENCH_service_smoke.json` instead, leaving the committed
-//!   full baseline untouched.
+//!   write `target/bench/BENCH_service_smoke.json` instead, leaving every
+//!   committed file untouched. To refresh the committed smoke baseline,
+//!   copy that file over `BENCH_service_smoke.json` at the repository
+//!   root.
 //! * `--jobs N` / `--workers N` — override batch size / pool width.
 //! * `--check-determinism` — run the same batch through TWO services
 //!   concurrently (contending for the shared graph/CSR caches) and fail
@@ -30,6 +32,13 @@
 //! the `perf --gate` read-side contract.
 
 use std::time::Instant;
+
+/// Where `--smoke` writes its report: under the build directory, so a CI
+/// run leaves the committed `BENCH_service_smoke.json` baseline as is.
+const SMOKE_OUT: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../target/bench/BENCH_service_smoke.json"
+);
 
 use csmpc_graph::rng::{Seed, SplitMix64};
 use csmpc_mpc::ParallelismMode;
@@ -354,14 +363,15 @@ fn main() {
     );
 
     let out = if smoke {
-        concat!(
-            env!("CARGO_MANIFEST_DIR"),
-            "/../../BENCH_service_smoke.json"
-        )
+        SMOKE_OUT
     } else {
         concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json")
     };
-    if let Err(e) = std::fs::write(out, &json) {
+    let written = std::path::Path::new(out)
+        .parent()
+        .map_or(Ok(()), std::fs::create_dir_all)
+        .and_then(|()| std::fs::write(out, &json));
+    if let Err(e) = written {
         eprintln!("FAIL: cannot write {out}: {e}");
         std::process::exit(2);
     }

@@ -158,12 +158,23 @@ fn test_mask(toks: &[Tok], braces: &[Option<usize>]) -> Vec<bool> {
     mask
 }
 
+/// `true` when the `impl` token at `i` opens an impl block: it sits where
+/// an item may start (after `{`, `}`, `;`, an attribute's `]`, `unsafe`,
+/// or at the top of the file). An `impl Trait` in argument or return
+/// position (`machines: impl Iterator<..>`, `-> impl Fn()`) follows `:`,
+/// `->`, `(`, `<`, `&` or `,` instead, and is a type, not a block.
+fn opens_impl_block(toks: &[Tok], i: usize) -> bool {
+    i == 0
+        || ["{", "}", ";", "]"].iter().any(|p| toks[i - 1].is_punct(p))
+        || toks[i - 1].is_ident("unsafe")
+}
+
 /// Extracts impl headers. `braces` is the `{`/`}` match map.
 fn parse_impls(toks: &[Tok], braces: &[Option<usize>]) -> Vec<ImplItem> {
     let mut impls = Vec::new();
     let mut i = 0usize;
     while i < toks.len() {
-        if !toks[i].is_ident("impl") {
+        if !toks[i].is_ident("impl") || !opens_impl_block(toks, i) {
             i += 1;
             continue;
         }
@@ -488,6 +499,22 @@ mod tests {
         assert_eq!(m.impls[1].trait_name.as_deref(), Some("MpcVertexAlgorithm"));
         assert!(m.in_inherent_cluster_impl(&m.fns[0]));
         assert!(!m.in_inherent_cluster_impl(&m.fns[1]));
+    }
+
+    #[test]
+    fn impl_trait_types_are_not_impl_blocks() {
+        // Argument- and return-position `impl Trait` headers end at the fn
+        // body brace; read as impl blocks, they would claim that body and
+        // unbind every fn nested in it from the enclosing `impl Cluster`.
+        let m = model(
+            "impl Cluster {\n    pub fn seed(&mut self, machines: impl Iterator<Item = usize>) {\n        fn nested(&mut self) {}\n    }\n    fn ids(&self) -> impl Iterator<Item = u32> {\n        fn helper(&mut self) {}\n        0..1\n    }\n}\nunsafe impl Send for Cluster {}\n",
+        );
+        assert_eq!(m.impls.len(), 2, "{:?}", m.impls);
+        assert_eq!(m.impls[1].trait_name.as_deref(), Some("Send"));
+        let helper = m.fns.iter().find(|f| f.name == "helper").unwrap();
+        let nested = m.fns.iter().find(|f| f.name == "nested").unwrap();
+        assert!(m.in_inherent_cluster_impl(helper));
+        assert!(m.in_inherent_cluster_impl(nested));
     }
 
     #[test]

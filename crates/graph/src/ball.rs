@@ -20,7 +20,8 @@
 //! a thread-local workspace; sweeps that want explicit control (e.g. to
 //! pair the workspace with a [`CsrAdjacency`]) use
 //! [`with_thread_workspace`]. The pre-workspace implementation survives in
-//! [`reference`] as the differential-testing oracle.
+//! `reference`, the differential-testing oracle, compiled only for this
+//! crate's tests and behind the test-only `oracles` feature.
 //!
 //! [`GraphBuilder`]: crate::GraphBuilder
 
@@ -347,7 +348,7 @@ pub fn with_thread_workspace<R>(f: impl FnOnce(&mut BallWorkspace) -> R) -> R {
 /// and the original indices of the ball's nodes.
 ///
 /// Borrows the calling thread's [`BallWorkspace`]; output is bit-identical
-/// to [`reference::ball`].
+/// to the `reference::ball` oracle.
 ///
 /// # Panics
 ///
@@ -363,7 +364,8 @@ pub fn ball(g: &Graph, v: usize, r: usize) -> (Graph, usize, Vec<usize>) {
 /// Because IDs are component-unique, the correspondence between the two
 /// balls — if one exists — is forced: nodes must match by ID. The check is
 /// therefore exact, not an isomorphism search. Borrows the calling thread's
-/// [`BallWorkspace`]; agrees exactly with [`reference::radius_identical`].
+/// [`BallWorkspace`]; agrees exactly with the `reference::radius_identical`
+/// oracle.
 #[must_use]
 pub fn radius_identical(g1: &Graph, c1: usize, g2: &Graph, c2: usize, d: usize) -> bool {
     with_thread_workspace(|ws| ws.radius_identical(g1, c1, g2, c2, d))
@@ -397,7 +399,10 @@ pub fn identical_ball_path_pair(d: usize, k: usize) -> (Graph, usize, Graph, usi
 /// The pre-workspace implementations, kept verbatim as the differential-
 /// testing oracle: full-graph BFS plus [`crate::ops::induced`] for balls,
 /// `BTreeMap` ID maps for radius-identity. Property tests assert the
-/// workspace path agrees with these exactly on random graphs.
+/// workspace path agrees with these exactly on random graphs. Test-only:
+/// compiled for this crate's unit tests and under the `oracles` feature,
+/// which only `[dev-dependencies]` turn on.
+#[cfg(any(test, feature = "oracles"))]
 pub mod reference {
     use super::{Graph, NodeId};
     use crate::ops::induced;

@@ -14,13 +14,15 @@
 //!   paper, which explicitly allows unbounded local computation.
 
 use crate::config::MpcConfig;
-use crate::faults::{Checkpoint, FaultKind, FaultPlan, FaultState, RecoveryEvent, RecoveryPolicy};
+use crate::faults::{
+    Checkpoint, FaultDriver, FaultKind, FaultPlan, Partition, RecoveryEvent, RecoveryPolicy,
+};
 use crate::phase::{PhaseTimer, PhaseTimes};
 use crate::provenance::{ComponentId, ProvenanceLog, TagTable};
 use crate::route::RouteArena;
 use crate::supervise::{SupervisionEvent, SupervisorConfig};
 use csmpc_graph::rng::{Seed, SplitMix64};
-use csmpc_parallel::par_map_mut_into;
+use csmpc_parallel::{par_map_mut_into, ParallelismMode};
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -417,8 +419,9 @@ pub struct Cluster {
     /// Components whose words each machine currently holds, for the exact
     /// engine's message-level provenance propagation.
     machine_components: TagTable,
-    /// Armed fault plan and recovery policy for the accounted layer, if any.
-    faults: Option<FaultState>,
+    /// Armed fault driver (plan, policy, cursors) for the accounted layer,
+    /// if any.
+    faults: Option<FaultDriver>,
     /// Completed crash recoveries, in order.
     recovery_log: Vec<RecoveryEvent>,
     /// Armed supervision policy (straggler speculation + quarantine), if
@@ -538,8 +541,8 @@ impl Cluster {
         // Deadline bookkeeping is per-execution state; the armed deadline
         // itself (the policy) survives, exactly like the fault plan.
         self.deadline_tripped = false;
-        if let Some(fs) = &mut self.faults {
-            *fs = FaultState::new(fs.plan.clone(), fs.policy);
+        if let Some(driver) = &mut self.faults {
+            *driver = FaultDriver::new(driver.plan.clone(), driver.policy);
         }
     }
 
@@ -555,7 +558,14 @@ impl Cluster {
     /// The exact engine takes its plan per call via
     /// [`Cluster::run_program_with_faults`] instead.
     pub fn arm_faults(&mut self, plan: FaultPlan, policy: RecoveryPolicy) {
-        self.faults = Some(FaultState::new(plan, policy));
+        self.faults = Some(FaultDriver::new(plan, policy));
+    }
+
+    /// The armed accounted-layer fault driver (what has fired, the retries
+    /// spent), if any.
+    #[must_use]
+    pub fn fault_driver(&self) -> Option<&FaultDriver> {
+        self.faults.as_ref()
     }
 
     /// Removes any armed fault plan.
@@ -731,100 +741,91 @@ impl Cluster {
     /// [`MpcError::RoundLimitExceeded`] once an armed job deadline
     /// ([`Cluster::arm_job_deadline`]) is tripped.
     pub fn advance_rounds(&mut self, rounds: usize) -> Result<(), MpcError> {
-        if self.faults.is_none() {
-            self.stats.rounds = self.stats.rounds.saturating_add(rounds);
+        let Some(mut driver) = self.faults.take() else {
+            self.charge_rounds(rounds);
             return self.check_job_deadline();
-        }
-        for _ in 0..rounds {
-            self.stats.rounds = self.stats.rounds.saturating_add(1);
-            self.process_accounted_faults()?;
-            self.check_job_deadline()?;
-        }
-        Ok(())
-    }
-
-    /// Fires every armed fault event whose round has been reached. Events
-    /// fire exactly once per execution (or per repetition after
-    /// [`Cluster::reset_for_repetition`]).
-    fn process_accounted_faults(&mut self) -> Result<(), MpcError> {
-        let Some(mut fs) = self.faults.take() else {
-            return Ok(());
         };
-        let result = self.drive_accounted_faults(&mut fs);
-        self.faults = Some(fs);
+        let result = (0..rounds).try_for_each(|_| {
+            self.charge_rounds(1);
+            self.drive_accounted_faults(&mut driver)?;
+            self.check_job_deadline()
+        });
+        self.faults = Some(driver);
         result
     }
 
-    fn drive_accounted_faults(&mut self, fs: &mut FaultState) -> Result<(), MpcError> {
-        // A straggler extends the ledger, which can pull later events (and
-        // partitions) into range, so re-scan until nothing fires.
+    /// Fires every armed fault event whose round the ledger has reached.
+    /// Events fire exactly once per execution (or per repetition after
+    /// [`Cluster::reset_for_repetition`]).
+    fn drive_accounted_faults(&mut self, driver: &mut FaultDriver) -> Result<(), MpcError> {
+        // A stall extends the ledger, which can pull later events (and
+        // partitions) into range, so re-scan until nothing is due.
         loop {
             let now = self.stats.rounds;
-            // Each partition window charges its barrier stall exactly once:
-            // while the cut is up, boundary-crossing traffic is held and
+            // While a partition is up, boundary-crossing traffic is held and
             // the synchronous computation waits out the window.
-            if let Some(i) = (0..fs.plan.partitions().len()).find(|&i| {
-                let p = &fs.plan.partitions()[i];
-                !fs.partitions_charged[i] && p.rounds > 0 && p.start <= now
-            }) {
-                fs.partitions_charged[i] = true;
-                let stall = fs.plan.partitions()[i].rounds;
-                self.stats.rounds = self.stats.rounds.saturating_add(stall);
+            if let Some(stall) = driver.next_partition_stall(now) {
+                self.charge_rounds(stall);
                 continue;
             }
-            let next = fs
-                .plan
-                .events()
-                .iter()
-                .enumerate()
-                .find(|(i, ev)| !fs.fired[*i] && ev.round <= now);
-            let Some((idx, ev)) = next else {
+            let Some(ev) = driver.next_due(now, &self.quarantined, &mut self.faulted) else {
                 return Ok(());
             };
-            let ev = *ev;
-            fs.fired[idx] = true;
-            if self.quarantined.contains(&ev.machine) {
-                // A decommissioned machine's spare already carries its
-                // state; further scheduled faults on it are moot.
-                continue;
-            }
-            self.faulted.insert(ev.machine);
             match ev.kind {
                 FaultKind::Straggle { rounds } => {
-                    let stall = self.speculate_straggler(ev.machine, rounds);
+                    let storage = self.stats.max_storage_words;
+                    let stall = self.speculate_straggler(ev.machine, rounds, now, || storage);
                     // The synchronous barrier waits for the slowest
                     // machine: everyone pays the (possibly clamped) stall.
-                    self.stats.rounds = self.stats.rounds.saturating_add(stall);
+                    self.charge_rounds(stall);
                 }
                 FaultKind::Crash => {
-                    self.failure_counts[ev.machine] += 1;
-                    if self.should_quarantine(ev.machine) {
-                        self.quarantine_machine(ev.machine);
-                        continue;
-                    }
-                    match fs.policy {
-                        RecoveryPolicy::FailFast => {
-                            return Err(MpcError::MachineFailed {
-                                machine: ev.machine,
-                                round: self.stats.rounds,
-                            });
-                        }
-                        RecoveryPolicy::RestartFromCheckpoint { max_retries }
-                        | RecoveryPolicy::RestartWithBackoff { max_retries, .. } => {
-                            fs.retries_used += 1;
-                            if fs.retries_used > max_retries {
-                                return Err(MpcError::MachineFailed {
-                                    machine: ev.machine,
-                                    round: self.stats.rounds,
-                                });
-                            }
-                            self.charge_backoff(ev.machine, fs.policy, fs.retries_used);
-                            self.recover_accounted_crash(ev.machine);
-                        }
+                    if self.absorb_crash_batch(driver, &[ev.machine], CrashLayer::Accounted)? {
+                        self.recover_accounted_crash(ev.machine);
                     }
                 }
             }
         }
+    }
+
+    /// Books a batch of crashes for either layer: each bumps its machine's
+    /// failure count; one crossing the quarantine threshold decommissions
+    /// the machine, the rest spend a retry each, and the batch charges one
+    /// backoff. Returns `true` when a retry was spent (the layer restarts).
+    /// Fails with [`MpcError::MachineFailed`] past the retry budget (zero
+    /// under fail-fast) or by the [`CrashLayer::Engine`] batch rules.
+    fn absorb_crash_batch(
+        &mut self,
+        driver: &mut FaultDriver,
+        crashed: &[usize],
+        layer: CrashLayer,
+    ) -> Result<bool, MpcError> {
+        let lost = |machine: usize, round: usize| MpcError::MachineFailed { machine, round };
+        if layer == CrashLayer::Engine
+            && (crashed.len() * 2 > self.num_machines || driver.policy == RecoveryPolicy::FailFast)
+        {
+            return Err(lost(crashed[0], self.stats.rounds));
+        }
+        let mut retried = 0usize;
+        let mut first_retried = None;
+        for &machine in crashed {
+            self.failure_counts[machine] += 1;
+            if self.should_quarantine(machine) {
+                self.quarantine_machine(machine);
+            } else {
+                retried += 1;
+                first_retried.get_or_insert(machine);
+            }
+        }
+        let Some(machine) = first_retried else {
+            return Ok(false);
+        };
+        driver.retries_used += retried;
+        if driver.retries_used > driver.policy.max_retries() {
+            return Err(lost(machine, self.stats.rounds));
+        }
+        self.charge_backoff(machine, driver.policy, driver.retries_used);
+        Ok(true)
     }
 
     /// `true` when `machine`'s accumulated failure count crosses the armed
@@ -855,14 +856,21 @@ impl Cluster {
     }
 
     /// Applies the supervisor's straggler deadline to a `stall`-round
-    /// stall on `machine`, returning the barrier rounds actually paid.
-    /// With no supervisor (or a stall within the deadline) that is the
-    /// full stall. Past the deadline, a spare speculatively re-executes
-    /// the machine from its last snapshot: the barrier only waits out the
-    /// deadline budget, while the spare's duplicated work is charged as
-    /// [`Stats::speculative_rounds`] and its re-shipped state as words —
-    /// speculation trades rounds for work, it is not free.
-    fn speculate_straggler(&mut self, machine: usize, stall: usize) -> usize {
+    /// stall on `machine`, for either layer, returning the stall paid.
+    /// Past the deadline a spare speculatively re-executes the machine
+    /// from its last snapshot: only the deadline is paid, while the spare's
+    /// work is charged as [`Stats::speculative_rounds`] and its re-shipped
+    /// state as words — speculation trades rounds for work, never free.
+    /// `round` stamps the event; `reshipped` (asked for only when
+    /// speculating) is the engine's snapshot length or the accounted
+    /// layer's storage high-water mark (DESIGN §5e).
+    fn speculate_straggler(
+        &mut self,
+        machine: usize,
+        stall: usize,
+        round: usize,
+        reshipped: impl FnOnce() -> usize,
+    ) -> usize {
         let Some(sup) = self.supervisor else {
             return stall;
         };
@@ -870,14 +878,14 @@ impl Cluster {
             return stall;
         }
         let speculated = stall - sup.deadline_rounds;
-        let reshipped = self.stats.max_storage_words.max(1);
+        let reshipped = reshipped().max(1);
         self.charge_words(reshipped, reshipped as u64);
         self.stats.recovery_words = self.stats.recovery_words.saturating_add(reshipped as u64);
         self.stats.speculative_rounds = self.stats.speculative_rounds.saturating_add(speculated);
         self.failure_counts[machine] += 1;
         self.supervision_log.push(SupervisionEvent::Speculation {
             machine,
-            round: self.stats.rounds,
+            round,
             stall_avoided: speculated,
             reshipped_words: reshipped,
         });
@@ -1007,37 +1015,25 @@ impl Cluster {
 
     /// Runs `program` on the exact engine under a [`FaultPlan`].
     ///
-    /// Per execution round (1-indexed), in order: pending transport
-    /// retransmissions are delivered (and re-charged); the plan's events at
-    /// this round strike — stragglers stall their machine's participation
-    /// while its inbox buffers, crashes either fail the run
-    /// ([`RecoveryPolicy::FailFast`], exhausted retries, or a majority of
-    /// machines down at once = lost quorum) or restore the most recent
-    /// round-boundary [`Checkpoint`] and deterministically re-execute the
-    /// lost rounds, charging the replay and the re-shipped state to the
-    /// ledger; then surviving machines run one normal round, with each
-    /// delivered message subject to the plan's seeded drop (retransmitted
-    /// one round later, charged twice) and duplication (delivered once,
-    /// charged twice) coins.
-    ///
-    /// Under [`RecoveryPolicy::RestartFromCheckpoint`] the cluster
-    /// snapshots inboxes, program state ([`MachineProgram::snapshot`]),
-    /// component tags, the provenance log, the transport RNG position, and
-    /// in-flight straggler/retransmission state every
-    /// [`MpcConfig::checkpoint_interval`] rounds. Fault events fire exactly
-    /// once per execution, including across recovery replays.
+    /// Each execution round (1-indexed) first fires the plan's due events
+    /// (`strike_faults`): stragglers stall their machine while its inbox
+    /// buffers; crashes fail the run ([`RecoveryPolicy::FailFast`],
+    /// exhausted retries, or a majority of machines down at once = lost
+    /// quorum) or restore the last whole-cluster [`Checkpoint`] and
+    /// deterministically re-execute the lost rounds, charging the replay
+    /// and the re-shipped state. The round body then runs four phases,
+    /// each timed into [`Stats::phase`]: `route`, `intake`, `step` and
+    /// `merge` (see each for what it does and charges). Under a restart
+    /// policy a checkpoint is captured every
+    /// [`MpcConfig::checkpoint_interval`] rounds.
     ///
     /// Everything is deterministic in (`machines`, `initial`, the plan, the
-    /// policy): replaying the same call yields the same result, the same
-    /// [`Stats`] ledger, and the same provenance log — in **either**
-    /// [`crate::MpcConfig::parallelism`] mode. The round body is one shared
-    /// code path: inbox intake and cap checks happen in machine-index order,
-    /// the per-machine step is a pure map over shards (sequential or
-    /// chunked across worker threads), and the merge — per-machine
-    /// [`Stats`] deltas absorbed associatively, component-tag propagation,
-    /// transport drop/duplication coins, and outbox bucketing — runs
-    /// sequentially in fixed machine-index order, so the transport RNG
-    /// consumes exactly the same coin stream either way.
+    /// policy): replaying the same call yields the same result, [`Stats`]
+    /// ledger and provenance log — in **either**
+    /// [`crate::MpcConfig::parallelism`] mode. Only the step runs
+    /// concurrently, as a pure map over shards; faults, intake and merge
+    /// run sequentially in machine-index order, so the transport RNG
+    /// consumes the same coin stream either way.
     ///
     /// # Panics
     ///
@@ -1055,60 +1051,37 @@ impl Cluster {
         plan: &FaultPlan,
         policy: RecoveryPolicy,
     ) -> Result<(), MpcError> {
-        let m = self.num_machines;
+        let mut driver = FaultDriver::new(plan.clone(), policy);
+        self.run_program_with_driver(machines, initial, max_rounds, &mut driver)
+    }
+
+    /// [`Cluster::run_program_with_faults`] with a caller-owned
+    /// [`FaultDriver`], so the caller can read what fired and the retries
+    /// spent. The driver's cursors carry across calls: give each execution
+    /// a fresh one.
+    ///
+    /// # Panics
+    ///
+    /// If `machines.len() != self.num_machines()`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Cluster::run_program_with_faults`].
+    pub fn run_program_with_driver<P: MachineProgram>(
+        &mut self,
+        machines: &mut [P],
+        initial: Vec<Message>,
+        max_rounds: usize,
+        driver: &mut FaultDriver,
+    ) -> Result<(), MpcError> {
         assert_eq!(
             machines.len(),
-            m,
+            self.num_machines,
             "the engine takes one program shard per machine"
         );
-        let mode = self.cfg.parallelism;
-        // Flat routing state. Messages in flight live in one arrival-ordered
-        // staging buffer (`incoming`); each round the counting-sort fabric
-        // ([`RouteArena::scatter`]) groups them by destination into the
-        // arena's routing buffer, and every machine reads its inbox as a
-        // contiguous `fabric.ranges[id]` slice of `fabric.buf`. Counting
-        // sort is stable per destination by construction, so per-destination
-        // arrival order — the only order a machine can observe — is exactly
-        // what the old nested per-machine inboxes delivered. The staging
-        // buffer and the arena double-buffer each other across rounds:
-        // steady-state rounds reuse their spines and allocate nothing for
-        // message plumbing.
-        let mut incoming: Vec<Message> = Vec::with_capacity(initial.len());
-        for msg in initial {
-            if msg.to >= m {
-                return Err(MpcError::UnknownMachine {
-                    machine: msg.to,
-                    count: m,
-                });
-            }
-            incoming.push(msg);
-        }
-        let mut fabric = RouteArena::new(m);
-        // Arena buffers reused across rounds: per-machine step results and
-        // in-flight component tags. Like the routing spines above, these
-        // reach steady-state capacity after a warm-up round and allocate
-        // nothing afterwards at fixed topology.
-        let mut stepped: Vec<Option<(Vec<Message>, usize)>> = Vec::new();
-        let mut incoming_tags: Vec<Vec<ComponentId>> = vec![Vec::new(); m];
-        // Transport coins (drop/duplication) come from the plan's seed, so
-        // the same plan replays the same per-message faults.
-        let mut rng = SplitMix64::new(plan.seed().derive(0xfa17));
-        // Exec round (inclusive) through which each machine stalls.
-        let mut straggle_until: Vec<usize> = vec![0; m];
-        let mut pending_retransmit: Vec<Message> = Vec::new();
-        // Messages held by an active partition, with the round at which
-        // each becomes deliverable again.
-        let mut partition_held: Vec<(usize, Message)> = Vec::new();
-        let mut fired = vec![false; plan.events().len()];
-        let mut retries_used = 0usize;
+        let mut run = EngineRun::new(self.num_machines, initial, driver.plan.seed())?;
         let interval = self.cfg.checkpoint_interval.max(1);
-        let use_checkpoints = matches!(
-            policy,
-            RecoveryPolicy::RestartFromCheckpoint { .. }
-                | RecoveryPolicy::RestartWithBackoff { .. }
-        );
-        let mut checkpoint: Option<Checkpoint> = None;
-
+        let use_checkpoints = driver.policy != RecoveryPolicy::FailFast;
         // Completed execution rounds. Distinct from the ledger's round
         // counter: a recovery rolls `exec` back to the checkpoint while the
         // ledger keeps growing (replayed rounds are paid for twice).
@@ -1120,423 +1093,202 @@ impl Cluster {
             self.check_job_deadline()?;
             if use_checkpoints && exec.is_multiple_of(interval) {
                 let timer = PhaseTimer::start();
-                let cp = self.capture_checkpoint(
-                    exec,
-                    &incoming,
-                    machines,
-                    &rng,
-                    &straggle_until,
-                    &pending_retransmit,
-                    &partition_held,
-                    checkpoint.as_ref(),
-                );
-                checkpoint = Some(cp);
+                run.checkpoint = Some(self.capture_checkpoint(exec, &run, machines));
                 timer.add_to(&mut self.stats.phase.checkpoint_ns);
             }
             let round_now = exec + 1;
-
-            // Fault events scheduled for this execution round strike before
-            // the round body runs. Each fires at most once per execution.
-            // Events on quarantined machines are moot — a spare already
-            // carries their state.
-            let mut crashed: Vec<usize> = Vec::new();
-            for (i, ev) in plan.events().iter().enumerate() {
-                if fired[i] || ev.round != round_now {
-                    continue;
-                }
-                fired[i] = true;
-                if self.quarantined.contains(&ev.machine) {
-                    continue;
-                }
-                self.faulted.insert(ev.machine);
-                match ev.kind {
-                    FaultKind::Straggle { rounds } => {
-                        // A stall past the supervisor's deadline budget is
-                        // clamped: a spare speculatively re-executes the
-                        // machine from its snapshot, off the critical path.
-                        // The spare's duplicated work and re-shipped state
-                        // are charged below — speculation is never free.
-                        let mut stall = rounds;
-                        if let Some(sup) = self.supervisor {
-                            if stall > sup.deadline_rounds {
-                                let speculated = stall - sup.deadline_rounds;
-                                stall = sup.deadline_rounds;
-                                let reshipped = machines
-                                    .get(ev.machine)
-                                    .map_or(0, |p| p.snapshot().len())
-                                    .max(1);
-                                self.charge_words(reshipped, reshipped as u64);
-                                self.stats.recovery_words =
-                                    self.stats.recovery_words.saturating_add(reshipped as u64);
-                                self.stats.speculative_rounds =
-                                    self.stats.speculative_rounds.saturating_add(speculated);
-                                self.failure_counts[ev.machine] += 1;
-                                self.supervision_log.push(SupervisionEvent::Speculation {
-                                    machine: ev.machine,
-                                    round: round_now,
-                                    stall_avoided: speculated,
-                                    reshipped_words: reshipped,
-                                });
-                            }
-                        }
-                        if stall > 0 {
-                            let until = round_now + stall - 1;
-                            if let Some(slot) = straggle_until.get_mut(ev.machine) {
-                                *slot = (*slot).max(until);
-                            }
-                        }
-                    }
-                    FaultKind::Crash => crashed.push(ev.machine),
-                }
+            if let Some(restored) = self.strike_faults(driver, &mut run, machines, round_now)? {
+                exec = restored;
+                continue;
             }
-            if !crashed.is_empty() {
-                if crashed.len() * 2 > m {
-                    // Lost quorum: a majority of machines went down in one
-                    // round; no checkpoint protocol survives that.
-                    return Err(MpcError::MachineFailed {
-                        machine: crashed[0],
-                        round: self.stats.rounds,
-                    });
-                }
-                match policy {
-                    RecoveryPolicy::FailFast => {
-                        return Err(MpcError::MachineFailed {
-                            machine: crashed[0],
-                            round: self.stats.rounds,
-                        });
-                    }
-                    RecoveryPolicy::RestartFromCheckpoint { max_retries }
-                    | RecoveryPolicy::RestartWithBackoff { max_retries, .. } => {
-                        // A crash that trips the quarantine threshold
-                        // decommissions the machine (charged migration)
-                        // instead of consuming a retry; the checkpoint is
-                        // still restored once so its spare resumes from
-                        // consistent state.
-                        let mut retried: Vec<usize> = Vec::new();
-                        for &machine in &crashed {
-                            self.failure_counts[machine] += 1;
-                            if self.should_quarantine(machine) {
-                                self.quarantine_machine(machine);
-                            } else {
-                                retried.push(machine);
-                            }
-                        }
-                        retries_used += retried.len();
-                        if retries_used > max_retries {
-                            return Err(MpcError::MachineFailed {
-                                machine: retried[0],
-                                round: self.stats.rounds,
-                            });
-                        }
-                        if !retried.is_empty() {
-                            self.charge_backoff(retried[0], policy, retries_used);
-                        }
-                        let cp = checkpoint
-                            .as_ref()
-                            .expect("restart policy always captures a round-0 checkpoint");
-                        let timer = PhaseTimer::start();
-                        let reshipped = self.restore_checkpoint(
-                            cp,
-                            machines,
-                            &mut incoming,
-                            &mut rng,
-                            &mut straggle_until,
-                            &mut pending_retransmit,
-                            &mut partition_held,
-                        );
-                        timer.add_to(&mut self.stats.phase.checkpoint_ns);
-                        for &machine in &crashed {
-                            self.recovery_log.push(RecoveryEvent {
-                                machine,
-                                crash_round: round_now,
-                                checkpoint_round: cp.round,
-                                replayed_rounds: exec - cp.round,
-                                reshipped_words: reshipped,
-                            });
-                        }
-                        // Re-execute from the checkpoint; the replayed
-                        // rounds charge the ledger a second time and are
-                        // attributed to recovery overhead.
-                        self.stats.recovery_rounds =
-                            self.stats.recovery_rounds.saturating_add(exec - cp.round);
-                        exec = cp.round;
-                        continue;
-                    }
-                }
-            }
-
-            // Route phase: deliver transport retransmissions from last
-            // round's dropped messages, plus traffic released by healed
-            // partitions (each repeated transmission is charged again
-            // below), then sort everything in flight by destination.
-            let route_timer = PhaseTimer::start();
-            let mut retransmit_words = 0u64;
-            for msg in pending_retransmit.drain(..) {
-                retransmit_words += msg.words.len() as u64;
-                incoming.push(msg);
-            }
-            if partition_held.iter().any(|(heal, _)| *heal <= round_now) {
-                for (heal, msg) in std::mem::take(&mut partition_held) {
-                    if heal <= round_now {
-                        retransmit_words += msg.words.len() as u64;
-                        incoming.push(msg);
-                    } else {
-                        partition_held.push((heal, msg));
-                    }
-                }
-            }
-            // Counting-sort scatter: histogram over destinations, prefix
-            // scan into per-machine ranges/cursors, payloads *moved* into
-            // the routing buffer in arrival order — O(m + M), stable per
-            // destination, allocation-free once the arena spines are warm.
-            fabric.scatter(&mut incoming);
-            route_timer.add_to(&mut self.stats.phase.route_ns);
-
-            let round = self.stats.rounds + 1;
-            // Intake phase (sequential, machine-index order): enforce the
-            // receive cap on every machine participating this round.
-            // Stragglers' slices stay untouched in the routing buffer —
-            // they neither receive nor send this round; their backlog is
-            // carried forward after the step.
-            let intake_timer = PhaseTimer::start();
-            for (id, &stalled_until) in straggle_until.iter().enumerate().take(m) {
-                if round_now <= stalled_until {
-                    continue;
-                }
-                let (lo, hi) = fabric.ranges[id];
-                // In-round adversarial reordering: one coin per non-empty
-                // inbox (drawn only when the fault class is armed, so the
-                // coin stream is unchanged otherwise); a hit hands the
-                // machine its messages in reversed arrival order.
-                if plan.reorder_per_mille() > 0
-                    && hi - lo > 1
-                    && (rng.index(1000) as u16) < plan.reorder_per_mille()
-                {
-                    fabric.buf[lo..hi].reverse();
-                }
-                let received: usize = fabric.buf[lo..hi].iter().map(|m| m.words.len()).sum();
-                if received > self.local_space {
-                    return Err(MpcError::BandwidthExceeded {
-                        machine: id,
-                        words: received,
-                        limit: self.local_space,
-                        round,
-                    });
-                }
-            }
-            intake_timer.add_to(&mut self.stats.phase.intake_ns);
-            // Step phase (concurrent under `ParallelismMode::Parallel`):
-            // every participating machine runs its round. A shard sees only
-            // its own state and its own inbox slice — a pure per-machine
-            // map — so the execution mode cannot influence any observable.
-            let step_timer = PhaseTimer::start();
-            let straggle_ref = &straggle_until;
-            let route_ref = &fabric.buf;
-            let ranges_ref = &fabric.ranges;
-            par_map_mut_into(mode, machines, &mut stepped, |id, shard| {
-                if round_now <= straggle_ref[id] {
-                    return None;
-                }
-                let (lo, hi) = ranges_ref[id];
-                let outs = shard.round(id, &route_ref[lo..hi]);
-                let storage = shard.storage_words();
-                Some((outs, storage))
-            });
-            step_timer.add_to(&mut self.stats.phase.step_ns);
-            // Straggler carry (attributed to routing): a stalled machine's
-            // undelivered slice moves back into the staging buffer *before*
-            // this round's sends are merged, so next round's stable scatter
-            // delivers the backlog ahead of newer traffic — exactly the
-            // order the old per-machine inbox carry produced.
-            let carry_timer = PhaseTimer::start();
-            for (id, &stalled_until) in straggle_until.iter().enumerate().take(m) {
-                if round_now <= stalled_until {
-                    let (lo, hi) = fabric.ranges[id];
-                    for slot in &mut fabric.buf[lo..hi] {
-                        incoming.push(Message {
-                            to: id,
-                            words: std::mem::take(&mut slot.words),
-                        });
-                    }
-                }
-            }
-            carry_timer.add_to(&mut self.stats.phase.route_ns);
-            // Merge phase (sequential, fixed machine-index order): send
-            // caps, storage charges, per-machine ledger deltas (absorbed
-            // associatively into one round delta), component-tag
-            // propagation, transport drop/duplication coins (consumed in
-            // machine order — the same coin stream a sequential engine
-            // draws), and staging of sends into the flat buffer.
-            let merge_timer = PhaseTimer::start();
-            // Component tags travel with messages: a delivery hands the
-            // receiver every component tag the sender held. The reusable
-            // per-destination buffers are sorted and deduplicated at merge
-            // time, reproducing the set semantics (and visit order) of the
-            // per-round `BTreeSet`s they replaced without their per-round
-            // allocation.
-            let mut any_sent = false;
-            let mut round_delta = Stats {
-                total_words: retransmit_words,
-                ..Stats::default()
-            };
-            for (id, step) in stepped.drain(..).enumerate() {
-                let Some((outs, storage)) = step else {
-                    continue;
-                };
-                let (in_lo, in_hi) = fabric.ranges[id];
-                let received: usize = fabric.buf[in_lo..in_hi].iter().map(|m| m.words.len()).sum();
-                let sent: usize = outs.iter().map(|m| m.words.len()).sum();
-                if sent > self.local_space {
-                    return Err(MpcError::BandwidthExceeded {
-                        machine: id,
-                        words: sent,
-                        limit: self.local_space,
-                        round,
-                    });
-                }
-                // Stamp the in-flight round (the ledger's counter advances
-                // only once the round completes).
-                if let Err(err) = self.charge_storage(id, storage) {
-                    return Err(match err {
-                        MpcError::SpaceExceeded {
-                            machine,
-                            words,
-                            limit,
-                            ..
-                        } => MpcError::SpaceExceeded {
-                            machine,
-                            words,
-                            limit,
-                            round,
-                        },
-                        other => other,
-                    });
-                }
-                round_delta.absorb(&Stats {
-                    max_round_words: sent.max(received),
-                    total_words: sent as u64,
-                    ..Stats::default()
-                });
-                if !outs.is_empty() {
-                    any_sent = true;
-                }
-                for msg in outs {
-                    if msg.to >= m {
-                        return Err(MpcError::UnknownMachine {
-                            machine: msg.to,
-                            count: m,
-                        });
-                    }
-                    // Tags propagate at send time even if the transport
-                    // delays the physical delivery: the words left the
-                    // sender this round.
-                    if msg.to != id && !msg.words.is_empty() {
-                        incoming_tags[msg.to]
-                            .extend_from_slice(self.machine_components.machine(id));
-                    }
-                    if plan.drop_per_mille() > 0 && (rng.index(1000) as u16) < plan.drop_per_mille()
-                    {
-                        // Lost in transit; the transport retransmits next
-                        // round, charging the words a second time. The
-                        // payload is moved, not cloned — it is already off
-                        // the delivery path.
-                        pending_retransmit.push(msg);
-                        continue;
-                    } else if plan.corrupt_per_mille() > 0
-                        && !msg.words.is_empty()
-                        && (rng.index(1000) as u16) < plan.corrupt_per_mille()
-                    {
-                        // Corrupted in transit: the adversary flips bits in
-                        // one payload word of the sealed envelope. The
-                        // receiver's checksum verification catches it and
-                        // discards the envelope — a tampered payload is
-                        // never handed to a machine — and the transport
-                        // retransmits the original next round, charged.
-                        // Both checksums are computed on the borrowed
-                        // payload (zero-copy): the sealed one and the one
-                        // the receiver would recompute after the flip.
-                        let word = rng.index(msg.words.len());
-                        let mask = rng.next_u64() | 1;
-                        let sealed = Envelope::checksum_of(&msg);
-                        let tampered = Envelope::tampered_checksum_of(&msg, word, mask);
-                        debug_assert_ne!(
-                            sealed, tampered,
-                            "a nonzero payload flip must break the seal"
-                        );
-                        if sealed != tampered {
-                            self.stats.corrupted_detected =
-                                self.stats.corrupted_detected.saturating_add(1);
-                            pending_retransmit.push(msg);
-                            continue;
-                        }
-                        // (If the checksum improbably collided, the
-                        // *original* message is delivered below — output
-                        // can never silently differ.)
-                    } else if plan.dup_per_mille() > 0
-                        && (rng.index(1000) as u16) < plan.dup_per_mille()
-                    {
-                        // Duplicated in transit: the receiver deduplicates,
-                        // but the extra transmission is paid for.
-                        round_delta.total_words = round_delta
-                            .total_words
-                            .saturating_add(msg.words.len() as u64);
-                    }
-                    // An active partition cutting sender from receiver
-                    // holds the message until the last such window heals;
-                    // delivery then is charged like a retransmission.
-                    let mut heal: Option<usize> = None;
-                    for p in plan.partitions() {
-                        if p.active_at(round_now) && p.cuts(id, msg.to) {
-                            heal = Some(heal.map_or(p.heal_round(), |h| h.max(p.heal_round())));
-                        }
-                    }
-                    match heal {
-                        Some(h) => partition_held.push((h, msg)),
-                        None => incoming.push(msg),
-                    }
-                }
-            }
-            // Merge propagated tags and record cross-component deliveries:
-            // a machine already holding component `a` that receives words
-            // tagged with component `b ≠ a` has observed a cross-component
-            // flow.
-            for (to, tags) in incoming_tags.iter_mut().enumerate() {
-                if tags.is_empty() {
-                    continue;
-                }
-                // Sorted + deduplicated, the visit order the old per-round
-                // `BTreeSet` produced.
-                tags.sort_unstable();
-                tags.dedup();
-                let fresh: Vec<ComponentId> = tags
-                    .iter()
-                    .copied()
-                    .filter(|&c| !self.machine_components.contains(to, c))
-                    .collect();
-                for &from in &fresh {
-                    for &held in self.machine_components.machine(to) {
-                        self.provenance
-                            .record("exact-engine message", round, from, held);
-                    }
-                }
-                self.machine_components.extend(to, tags);
-                tags.clear();
-            }
-            self.stats.rounds = self.stats.rounds.saturating_add(1);
-            self.charge_words(round_delta.max_round_words, round_delta.total_words);
-            merge_timer.add_to(&mut self.stats.phase.merge_ns);
-            // A stalled machine has not had the chance to speak yet, so the
-            // computation cannot be declared quiescent around it.
-            let work_pending = !pending_retransmit.is_empty()
-                || !partition_held.is_empty()
-                || !incoming.is_empty()
-                || straggle_until.iter().any(|&u| u >= round_now);
-            if !any_sent && !work_pending {
+            let plan = &driver.plan;
+            let timer = PhaseTimer::start();
+            let retransmit_words = run.route(round_now);
+            timer.add_to(&mut self.stats.phase.route_ns);
+            let timer = PhaseTimer::start();
+            run.intake(plan, round_now, self.local_space, self.stats.rounds + 1)?;
+            timer.add_to(&mut self.stats.phase.intake_ns);
+            let timer = PhaseTimer::start();
+            run.step(machines, self.cfg.parallelism, round_now);
+            timer.add_to(&mut self.stats.phase.step_ns);
+            let timer = PhaseTimer::start();
+            let any_sent = self.merge(&mut run, plan, round_now, retransmit_words)?;
+            timer.add_to(&mut self.stats.phase.merge_ns);
+            if !any_sent && !run.work_pending(round_now) {
                 return Ok(());
             }
             exec += 1;
         }
         Err(MpcError::RoundLimitExceeded { limit: max_rounds })
+    }
+
+    /// Fault phase: fires the events due at exec round `round_now`. A
+    /// straggler stalls its machine (past the supervisor's deadline, the
+    /// stall is clamped and speculated); the round's crashes form one
+    /// batch, after which the whole cluster restores the last checkpoint —
+    /// even if every victim was quarantined, so spares resume from
+    /// consistent state. Returns the exec round to resume from.
+    fn strike_faults<P: MachineProgram>(
+        &mut self,
+        driver: &mut FaultDriver,
+        run: &mut EngineRun,
+        machines: &mut [P],
+        round_now: usize,
+    ) -> Result<Option<usize>, MpcError> {
+        let mut crashed: Vec<usize> = Vec::new();
+        while let Some(ev) = driver.next_due(round_now, &self.quarantined, &mut self.faulted) {
+            match ev.kind {
+                FaultKind::Straggle { rounds } => {
+                    let snapshot = || machines.get(ev.machine).map_or(0, |p| p.snapshot().len());
+                    let stall = self.speculate_straggler(ev.machine, rounds, round_now, snapshot);
+                    if let Some(until) = run.straggle_until.get_mut(ev.machine) {
+                        if stall > 0 {
+                            *until = (*until).max(round_now + stall - 1);
+                        }
+                    }
+                }
+                FaultKind::Crash => crashed.push(ev.machine),
+            }
+        }
+        if crashed.is_empty() {
+            return Ok(None);
+        }
+        self.absorb_crash_batch(driver, &crashed, CrashLayer::Engine)?;
+        let timer = PhaseTimer::start();
+        let (checkpoint_round, reshipped) = self.restore_checkpoint(run, machines);
+        timer.add_to(&mut self.stats.phase.checkpoint_ns);
+        // Re-execute from the checkpoint; the replayed rounds charge the
+        // ledger a second time and are attributed to recovery overhead.
+        let replayed = round_now - 1 - checkpoint_round;
+        for &machine in &crashed {
+            self.recovery_log.push(RecoveryEvent {
+                machine,
+                crash_round: round_now,
+                checkpoint_round,
+                replayed_rounds: replayed,
+                reshipped_words: reshipped,
+            });
+        }
+        self.stats.recovery_rounds = self.stats.recovery_rounds.saturating_add(replayed);
+        Ok(Some(checkpoint_round))
+    }
+
+    /// Merge phase (sequential, machine-index order). Stalled machines'
+    /// undelivered slices move back to staging first, so the next scatter
+    /// delivers the backlog before newer traffic. Then per machine: send
+    /// caps, storage charges, the ledger delta (absorbed associatively
+    /// into one round delta), tag propagation, and each send's transport
+    /// coins ([`EngineRun::transmit`]). Last, tags merge and the round is
+    /// charged. Returns whether any machine sent.
+    fn merge(
+        &mut self,
+        run: &mut EngineRun,
+        plan: &FaultPlan,
+        round_now: usize,
+        retransmit_words: u64,
+    ) -> Result<bool, MpcError> {
+        for (id, &stalled_until) in run.straggle_until.iter().enumerate() {
+            if round_now <= stalled_until {
+                let (lo, hi) = run.fabric.ranges[id];
+                for slot in &mut run.fabric.buf[lo..hi] {
+                    run.incoming.push(Message {
+                        to: id,
+                        words: std::mem::take(&mut slot.words),
+                    });
+                }
+            }
+        }
+        let m = self.num_machines;
+        let round = self.stats.rounds + 1;
+        let mut any_sent = false;
+        let mut round_delta = Stats {
+            total_words: retransmit_words,
+            ..Stats::default()
+        };
+        let mut stepped = std::mem::take(&mut run.stepped);
+        for (id, step) in stepped.drain(..).enumerate() {
+            let Some((outs, storage)) = step else {
+                continue;
+            };
+            let (lo, hi) = run.fabric.ranges[id];
+            let received: usize = run.fabric.buf[lo..hi].iter().map(|m| m.words.len()).sum();
+            let sent: usize = outs.iter().map(|m| m.words.len()).sum();
+            if sent > self.local_space {
+                return Err(MpcError::BandwidthExceeded {
+                    machine: id,
+                    words: sent,
+                    limit: self.local_space,
+                    round,
+                });
+            }
+            // Stamp the in-flight round (the ledger's counter advances
+            // only once the round completes).
+            self.charge_storage(id, storage).map_err(|err| match err {
+                MpcError::SpaceExceeded {
+                    machine,
+                    words,
+                    limit,
+                    ..
+                } => MpcError::SpaceExceeded {
+                    machine,
+                    words,
+                    limit,
+                    round,
+                },
+                other => other,
+            })?;
+            round_delta.absorb(&Stats {
+                max_round_words: sent.max(received),
+                total_words: sent as u64,
+                ..Stats::default()
+            });
+            any_sent |= !outs.is_empty();
+            for msg in outs {
+                if msg.to >= m {
+                    return Err(MpcError::UnknownMachine {
+                        machine: msg.to,
+                        count: m,
+                    });
+                }
+                // Tags propagate at send time even if the transport delays
+                // the physical delivery: the words left the sender this
+                // round, and the receiver gets every tag the sender held.
+                if msg.to != id && !msg.words.is_empty() {
+                    run.incoming_tags[msg.to]
+                        .extend_from_slice(self.machine_components.machine(id));
+                }
+                let corrupted = &mut self.stats.corrupted_detected;
+                run.transmit(plan, id, msg, round_now, &mut round_delta, corrupted);
+            }
+        }
+        run.stepped = stepped;
+        // Merge propagated tags and record cross-component deliveries: a
+        // machine holding component `a` that receives words tagged `b ≠ a`
+        // has observed a cross-component flow. Sorting and deduplicating
+        // the reused buffers gives set semantics without an allocation.
+        for (to, tags) in run.incoming_tags.iter_mut().enumerate() {
+            if tags.is_empty() {
+                continue;
+            }
+            tags.sort_unstable();
+            tags.dedup();
+            let fresh: Vec<ComponentId> = tags
+                .iter()
+                .copied()
+                .filter(|&c| !self.machine_components.contains(to, c))
+                .collect();
+            for &from in &fresh {
+                for &held in self.machine_components.machine(to) {
+                    self.provenance
+                        .record("exact-engine message", round, from, held);
+                }
+            }
+            self.machine_components.extend(to, tags);
+            tags.clear();
+        }
+        self.stats.rounds = self.stats.rounds.saturating_add(1);
+        self.charge_words(round_delta.max_round_words, round_delta.total_words);
+        Ok(any_sent)
     }
 
     /// Captures a round-boundary recovery snapshot of the exact engine.
@@ -1548,23 +1300,18 @@ impl Cluster {
     /// equality*, so a restore from a shared slot is value-identical to a
     /// restore from a deep copy — determinism cannot depend on which
     /// captures happened to share.
-    #[allow(clippy::too_many_arguments)]
     fn capture_checkpoint<P: MachineProgram>(
         &self,
         exec_round: usize,
-        incoming: &[Message],
+        run: &EngineRun,
         machines: &[P],
-        rng: &SplitMix64,
-        straggle_until: &[usize],
-        pending_retransmit: &[Message],
-        partition_held: &[(usize, Message)],
-        prev: Option<&Checkpoint>,
     ) -> Checkpoint {
+        let prev = run.checkpoint.as_ref();
         // Group the flat in-flight buffer by destination. Per-destination
         // arrival order is preserved — the only order the routing sort
         // (stable per destination) can observe.
         let mut by_dest: Vec<Vec<Message>> = vec![Vec::new(); self.num_machines];
-        for msg in incoming {
+        for msg in &run.incoming {
             by_dest[msg.to].push(msg.clone());
         }
         let inboxes: Vec<Arc<Vec<Message>>> = by_dest
@@ -1602,49 +1349,275 @@ impl Cluster {
             program,
             machine_components,
             provenance,
-            rng: rng.clone(),
-            straggle_until: straggle_until.to_vec(),
-            pending_retransmit: pending_retransmit.to_vec(),
-            partition_held: partition_held.to_vec(),
+            rng: run.rng.clone(),
+            straggle_until: run.straggle_until.clone(),
+            pending_retransmit: run.pending_retransmit.clone(),
+            partition_held: run.partition_held.clone(),
         }
     }
 
-    /// Restores a [`Checkpoint`] after a crash and charges the recovery to
-    /// the ledger: one synchronous restore round plus the re-shipped
-    /// checkpoint words (at least one — recovery is never free). Returns
+    /// Restores the whole cluster from the last [`Checkpoint`] after a
+    /// crash and charges the recovery to the ledger: one synchronous
+    /// restore round plus the re-shipped checkpoint words (at least one —
+    /// recovery is never free). Returns the checkpoint's exec round and
     /// the words charged.
     ///
     /// The per-destination inboxes are flattened back into the staging
     /// buffer in machine-id order; cross-destination order is immaterial
     /// (the routing sort is stable per destination), and per-destination
     /// order is exactly as captured.
-    #[allow(clippy::too_many_arguments)]
     fn restore_checkpoint<P: MachineProgram>(
         &mut self,
-        cp: &Checkpoint,
+        run: &mut EngineRun,
         machines: &mut [P],
-        incoming: &mut Vec<Message>,
-        rng: &mut SplitMix64,
-        straggle_until: &mut Vec<usize>,
-        pending_retransmit: &mut Vec<Message>,
-        partition_held: &mut Vec<(usize, Message)>,
-    ) -> usize {
-        incoming.clear();
+    ) -> (usize, usize) {
+        let cp = run
+            .checkpoint
+            .as_ref()
+            .expect("restart policy always captures a round-0 checkpoint");
+        run.incoming.clear();
         for inbox in &cp.inboxes {
-            incoming.extend(inbox.iter().cloned());
+            run.incoming.extend(inbox.iter().cloned());
         }
         for (shard, snap) in machines.iter_mut().zip(&cp.program) {
             shard.restore(snap);
         }
         self.machine_components = (*cp.machine_components).clone();
         self.provenance = (*cp.provenance).clone();
-        *rng = cp.rng.clone();
-        *straggle_until = cp.straggle_until.clone();
-        *pending_retransmit = cp.pending_retransmit.clone();
-        *partition_held = cp.partition_held.clone();
+        run.rng = cp.rng.clone();
+        run.straggle_until.clone_from(&cp.straggle_until);
+        run.pending_retransmit.clone_from(&cp.pending_retransmit);
+        run.partition_held.clone_from(&cp.partition_held);
         let reshipped = cp.words().max(1);
         self.charge_recovery(1, reshipped);
-        reshipped
+        (cp.round, reshipped)
+    }
+}
+
+/// Which layer hands a crash batch to [`Cluster::absorb_crash_batch`];
+/// DESIGN §5e says why the two differ.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CrashLayer {
+    /// One batch per exec round. Lost quorum (more than half the machines
+    /// down) or a fail-fast policy fails the batch before the supervisor
+    /// sees it.
+    Engine,
+    /// One batch per event, no quorum rule.
+    Accounted,
+}
+
+/// Per-execution state of the exact engine: what one
+/// [`Cluster::run_program_with_driver`] call carries from round to round.
+///
+/// Messages in flight live in one arrival-ordered staging buffer
+/// (`incoming`); each round the counting-sort fabric
+/// ([`RouteArena::scatter`]) groups them by destination, stably, and every
+/// machine reads its inbox as the contiguous `fabric.ranges[id]` slice of
+/// `fabric.buf`. The staging buffer and the arena double-buffer each
+/// other, and the step-result and tag buffers are reused too: after a
+/// warm-up round the engine allocates nothing for message plumbing.
+#[derive(Debug)]
+struct EngineRun {
+    incoming: Vec<Message>,
+    fabric: RouteArena,
+    /// Per-machine step results (outbox, storage words); `None` for a
+    /// stalled machine.
+    stepped: Vec<Option<(Vec<Message>, usize)>>,
+    /// Per-destination component tags sent this round.
+    incoming_tags: Vec<Vec<ComponentId>>,
+    /// Transport coins, seeded by the plan, so the same plan replays the
+    /// same per-message faults.
+    rng: SplitMix64,
+    /// Exec round (inclusive) through which each machine stalls.
+    straggle_until: Vec<usize>,
+    /// Dropped and corrupted messages, retransmitted next round.
+    pending_retransmit: Vec<Message>,
+    /// Messages held by an active partition, with the round at which each
+    /// becomes deliverable again.
+    partition_held: Vec<(usize, Message)>,
+    /// The latest round-boundary checkpoint (restart policies only).
+    checkpoint: Option<Checkpoint>,
+}
+
+impl EngineRun {
+    fn new(machines: usize, initial: Vec<Message>, seed: Seed) -> Result<Self, MpcError> {
+        if let Some(msg) = initial.iter().find(|msg| msg.to >= machines) {
+            return Err(MpcError::UnknownMachine {
+                machine: msg.to,
+                count: machines,
+            });
+        }
+        Ok(EngineRun {
+            incoming: initial,
+            fabric: RouteArena::new(machines),
+            stepped: Vec::new(),
+            incoming_tags: vec![Vec::new(); machines],
+            rng: SplitMix64::new(seed.derive(0xfa17)),
+            straggle_until: vec![0; machines],
+            pending_retransmit: Vec::new(),
+            partition_held: Vec::new(),
+            checkpoint: None,
+        })
+    }
+
+    /// Route phase: re-delivers last round's transport retransmissions and
+    /// the traffic released by healed partitions (each repeated
+    /// transmission is charged again at merge, so the re-delivered words
+    /// are returned), then groups everything in flight by destination.
+    fn route(&mut self, round_now: usize) -> u64 {
+        let mut retransmit_words = 0u64;
+        for msg in self.pending_retransmit.drain(..) {
+            retransmit_words += msg.words.len() as u64;
+            self.incoming.push(msg);
+        }
+        if self
+            .partition_held
+            .iter()
+            .any(|(heal, _)| *heal <= round_now)
+        {
+            for (heal, msg) in std::mem::take(&mut self.partition_held) {
+                if heal <= round_now {
+                    retransmit_words += msg.words.len() as u64;
+                    self.incoming.push(msg);
+                } else {
+                    self.partition_held.push((heal, msg));
+                }
+            }
+        }
+        // Counting-sort scatter: O(len + M), stable per destination,
+        // payloads moved, allocation-free once the arena spines are warm.
+        self.fabric.scatter(&mut self.incoming);
+        retransmit_words
+    }
+
+    /// Intake phase (sequential, machine-index order): enforces the
+    /// receive cap of every machine participating this round, stamping
+    /// violations with ledger round `round`. A stalled machine's slice
+    /// stays untouched in the routing buffer — it neither receives nor
+    /// sends this round. With reordering armed, one coin per non-empty
+    /// inbox (drawn only then, so the coin stream is otherwise unchanged)
+    /// may hand the machine its messages in reversed arrival order.
+    fn intake(
+        &mut self,
+        plan: &FaultPlan,
+        round_now: usize,
+        limit: usize,
+        round: usize,
+    ) -> Result<(), MpcError> {
+        for (id, &stalled_until) in self.straggle_until.iter().enumerate() {
+            if round_now <= stalled_until {
+                continue;
+            }
+            let (lo, hi) = self.fabric.ranges[id];
+            if plan.reorder_per_mille() > 0
+                && hi - lo > 1
+                && (self.rng.index(1000) as u16) < plan.reorder_per_mille()
+            {
+                self.fabric.buf[lo..hi].reverse();
+            }
+            let received: usize = self.fabric.buf[lo..hi].iter().map(|m| m.words.len()).sum();
+            if received > limit {
+                return Err(MpcError::BandwidthExceeded {
+                    machine: id,
+                    words: received,
+                    limit,
+                    round,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Step phase (concurrent under `ParallelismMode::Parallel`): every
+    /// participating machine runs its round. A shard sees only its own
+    /// state and its own inbox slice — a pure per-machine map — so the
+    /// execution mode cannot influence any observable.
+    fn step<P: MachineProgram>(
+        &mut self,
+        machines: &mut [P],
+        mode: ParallelismMode,
+        round_now: usize,
+    ) {
+        let straggle_until = &self.straggle_until;
+        let fabric = &self.fabric;
+        par_map_mut_into(mode, machines, &mut self.stepped, |id, shard| {
+            if round_now <= straggle_until[id] {
+                return None;
+            }
+            let (lo, hi) = fabric.ranges[id];
+            Some((shard.round(id, &fabric.buf[lo..hi]), shard.storage_words()))
+        });
+    }
+
+    /// Puts one message sent by machine `from` on the wire. The plan's
+    /// seeded coins may drop it (retransmitted next round, charged twice),
+    /// corrupt it, or duplicate it (the receiver deduplicates; the extra
+    /// transmission is charged to `delta`). An active partition cutting
+    /// sender from receiver holds it until the last such window heals;
+    /// delivery then is charged like a retransmission.
+    fn transmit(
+        &mut self,
+        plan: &FaultPlan,
+        from: usize,
+        msg: Message,
+        round_now: usize,
+        delta: &mut Stats,
+        corrupted: &mut u64,
+    ) {
+        if plan.drop_per_mille() > 0 && (self.rng.index(1000) as u16) < plan.drop_per_mille() {
+            // The payload is moved, not cloned: it is already off the
+            // delivery path.
+            self.pending_retransmit.push(msg);
+            return;
+        } else if plan.corrupt_per_mille() > 0
+            && !msg.words.is_empty()
+            && (self.rng.index(1000) as u16) < plan.corrupt_per_mille()
+        {
+            // The adversary flips bits in one payload word of the sealed
+            // envelope. The receiver's checksum verification catches it and
+            // discards the envelope — a tampered payload is never handed to
+            // a machine — and the transport retransmits the original next
+            // round. Both checksums are computed on the borrowed payload
+            // (zero-copy): the sealed one and the one the receiver would
+            // recompute after the flip.
+            let word = self.rng.index(msg.words.len());
+            let mask = self.rng.next_u64() | 1;
+            let sealed = Envelope::checksum_of(&msg);
+            let tampered = Envelope::tampered_checksum_of(&msg, word, mask);
+            debug_assert_ne!(
+                sealed, tampered,
+                "a nonzero payload flip must break the seal"
+            );
+            if sealed != tampered {
+                *corrupted = corrupted.saturating_add(1);
+                self.pending_retransmit.push(msg);
+                return;
+            }
+            // (If the checksum improbably collided, the *original* message
+            // is delivered below — output can never silently differ.)
+        } else if plan.dup_per_mille() > 0 && (self.rng.index(1000) as u16) < plan.dup_per_mille() {
+            delta.total_words = delta.total_words.saturating_add(msg.words.len() as u64);
+        }
+        let heal = plan
+            .partitions()
+            .iter()
+            .filter(|p| p.active_at(round_now) && p.cuts(from, msg.to))
+            .map(Partition::heal_round)
+            .max();
+        match heal {
+            Some(h) => self.partition_held.push((h, msg)),
+            None => self.incoming.push(msg),
+        }
+    }
+
+    /// `true` while anything is in flight or stalled: a stalled machine
+    /// has not had the chance to speak yet, so the computation cannot be
+    /// declared quiescent around it.
+    fn work_pending(&self, round_now: usize) -> bool {
+        !self.pending_retransmit.is_empty()
+            || !self.partition_held.is_empty()
+            || !self.incoming.is_empty()
+            || self.straggle_until.iter().any(|&u| u >= round_now)
     }
 }
 

@@ -13,32 +13,27 @@
 //! faults, the same recoveries, the same output, the same [`Stats`] ledger
 //! and the same provenance log on every run (Definition 9, replicability).
 //!
-//! Two layers consume a plan:
+//! Two layers consume a plan, both through one [`FaultDriver`]:
 //!
 //! * the **exact engine** ([`crate::Cluster::run_program_with_faults`])
-//!   injects faults message-by-message and recovers by restoring a
-//!   round-boundary [`Checkpoint`] (inboxes, program state via
-//!   [`crate::MachineProgram::snapshot`]/`restore`, provenance tags, RNG
-//!   position) and deterministically re-executing the lost rounds;
+//!   injects faults message-by-message — drops, duplicates, detected
+//!   payload corruption (via the checksummed [`crate::Envelope`]), in-round
+//!   reordering, and [`Partition`]s that hold boundary-crossing traffic
+//!   until they heal — and recovers from a crash by restoring a
+//!   whole-cluster round-boundary [`Checkpoint`] and deterministically
+//!   re-executing the lost rounds;
 //! * the **accounted primitives** observe the plan through
-//!   [`crate::Cluster::advance_rounds`]: a crash under
-//!   [`RecoveryPolicy::RestartFromCheckpoint`] charges the replayed rounds
-//!   and re-shipped words to the ledger (recovery is never free), a crash
-//!   under [`RecoveryPolicy::FailFast`] surfaces as
-//!   [`crate::MpcError::MachineFailed`], and a straggler stalls the
-//!   synchronous barrier for its duration. Message drop/duplication/
-//!   corruption/reordering only has meaning where real messages move,
-//!   i.e. on the exact engine.
+//!   [`crate::Cluster::advance_rounds`]: a crash under a restart policy
+//!   charges the replayed rounds and re-shipped words (recovery is never
+//!   free), a crash under [`RecoveryPolicy::FailFast`] surfaces as
+//!   [`crate::MpcError::MachineFailed`], and stragglers and partitions
+//!   stall the synchronous barrier. Message-level faults only have meaning
+//!   where real messages move, i.e. on the exact engine.
 //!
-//! Beyond the PR 2 fault classes, plans can now schedule **adversarial
-//! transport faults**: payload corruption (tampered bits, always *detected*
-//! via the checksummed [`crate::Envelope`] and never silently applied),
-//! in-round inbox reordering, and round-scoped network [`Partition`]s that
-//! hold boundary-crossing traffic until the partition heals. Crash handling
-//! gains [`RecoveryPolicy::RestartWithBackoff`] (bounded exponential
-//! backoff, every idle round charged) and, via
-//! [`crate::SupervisorConfig`], straggler speculation and machine
-//! quarantine.
+//! Both layers share straggler speculation, quarantine, retry budgeting
+//! and [`RecoveryPolicy::RestartWithBackoff`]'s charged backoff, armed via
+//! [`crate::SupervisorConfig`]; DESIGN §5e lists where the layers differ
+//! on purpose.
 //!
 //! [`Stats`]: crate::Stats
 //! [`Seed`]: csmpc_graph::rng::Seed
@@ -46,6 +41,7 @@
 use crate::cluster::Message;
 use crate::provenance::{ProvenanceLog, TagTable};
 use csmpc_graph::rng::{Seed, SplitMix64};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -483,32 +479,90 @@ impl Checkpoint {
     }
 }
 
-/// Runtime fault bookkeeping for the accounted layer, installed by
-/// [`crate::Cluster::arm_faults`].
+/// The one fault driver both execution layers call: a plan, a recovery
+/// policy, and the per-execution cursors over them. The engine builds one
+/// per run, the accounted layer keeps the one
+/// [`crate::Cluster::arm_faults`] installed; the driver decides which
+/// events are due and keeps the retry budget, the layer what each costs.
+///
+/// An event is due once the layer's clock reaches its round (the exec
+/// round on the engine, the ledger round on the accounted layer; a
+/// round-0 event is due at the first barrier). Events sort by round and
+/// fire in plan order, so the fired events are always a prefix of the plan
+/// and one cursor records them; each fires once per execution, replays
+/// included. Partition stalls are charged once each the same way.
 #[derive(Debug, Clone)]
-pub(crate) struct FaultState {
+pub struct FaultDriver {
     pub(crate) plan: FaultPlan,
     pub(crate) policy: RecoveryPolicy,
-    /// One flag per plan event: events fire exactly once per execution,
-    /// including across recovery replays.
-    pub(crate) fired: Vec<bool>,
+    /// Length of the fired prefix of `plan.events()`.
+    fired: usize,
+    /// Length of the charged prefix of `plan.partitions()`.
+    partitions_charged: usize,
     pub(crate) retries_used: usize,
-    /// One flag per plan partition: the accounted layer charges each
-    /// partition's barrier stall exactly once per execution.
-    pub(crate) partitions_charged: Vec<bool>,
 }
 
-impl FaultState {
-    pub(crate) fn new(plan: FaultPlan, policy: RecoveryPolicy) -> Self {
-        let fired = vec![false; plan.events().len()];
-        let partitions_charged = vec![false; plan.partitions().len()];
-        FaultState {
+impl FaultDriver {
+    /// A fresh driver: nothing fired, no retry spent.
+    #[must_use]
+    pub fn new(plan: FaultPlan, policy: RecoveryPolicy) -> Self {
+        FaultDriver {
             plan,
             policy,
-            fired,
+            fired: 0,
+            partitions_charged: 0,
             retries_used: 0,
-            partitions_charged,
         }
+    }
+
+    /// The events fired so far, in firing order (events on quarantined
+    /// machines fire as no-ops).
+    #[must_use]
+    pub fn fired(&self) -> &[FaultEvent] {
+        &self.plan.events()[..self.fired]
+    }
+
+    /// Retries spent so far.
+    #[must_use]
+    pub fn retries_used(&self) -> usize {
+        self.retries_used
+    }
+
+    /// The next event due at clock `now`, in plan order. Events on
+    /// `quarantined` machines fire as no-ops (a spare already carries
+    /// their state); every other yielded event's machine joins `faulted`.
+    pub(crate) fn next_due(
+        &mut self,
+        now: usize,
+        quarantined: &BTreeSet<usize>,
+        faulted: &mut BTreeSet<usize>,
+    ) -> Option<FaultEvent> {
+        while let Some(&ev) = self.plan.events().get(self.fired) {
+            if ev.round > now {
+                return None;
+            }
+            self.fired += 1;
+            if !quarantined.contains(&ev.machine) {
+                faulted.insert(ev.machine);
+                return Some(ev);
+            }
+        }
+        None
+    }
+
+    /// The stall of the next uncharged partition started by clock `now`
+    /// (zero-round partitions are skipped).
+    pub(crate) fn next_partition_stall(&mut self, now: usize) -> Option<usize> {
+        while let Some(p) = self.plan.partitions().get(self.partitions_charged) {
+            if p.rounds > 0 && p.start > now {
+                return None;
+            }
+            self.partitions_charged += 1;
+            if p.rounds > 0 {
+                return Some(p.rounds);
+            }
+        }
+        None
     }
 }
 
@@ -643,6 +697,37 @@ mod tests {
             .with_reordering(25);
         assert_eq!(dressed.events(), base.events());
         assert_eq!(dressed.corrupt_per_mille(), 25);
+    }
+
+    #[test]
+    fn driver_fires_a_plan_prefix_and_skips_quarantined_machines() {
+        let plan = FaultPlan::quiet(Seed(1))
+            .crash(0, 0)
+            .straggle(1, 2, 1)
+            .crash(2, 2)
+            .crash(3, 5)
+            .partition(1, 0, vec![0])
+            .partition(3, 2, vec![1]);
+        let mut driver = FaultDriver::new(plan, RecoveryPolicy::restart(1));
+        let quarantined = BTreeSet::from([2]);
+        let mut faulted = BTreeSet::new();
+        let mut due = |driver: &mut FaultDriver, now: usize| {
+            std::iter::from_fn(|| driver.next_due(now, &quarantined, &mut faulted))
+                .map(|ev| ev.machine)
+                .collect::<Vec<_>>()
+        };
+        // Round 0 is due at the first barrier; machine 2 is quarantined,
+        // so its crash fires as a no-op.
+        assert_eq!(due(&mut driver, 1), vec![0]);
+        assert_eq!(due(&mut driver, 4), vec![1]);
+        assert_eq!(driver.fired().len(), 3);
+        assert_eq!(due(&mut driver, 4), Vec::<usize>::new());
+        assert_eq!(due(&mut driver, 9), vec![3]);
+        assert_eq!(faulted, BTreeSet::from([0, 1, 3]));
+        // The zero-round window is skipped; the other is charged once.
+        assert_eq!(driver.next_partition_stall(2), None);
+        assert_eq!(driver.next_partition_stall(3), Some(2));
+        assert_eq!(driver.next_partition_stall(9), None);
     }
 
     #[test]

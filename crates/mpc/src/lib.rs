@@ -63,7 +63,8 @@ pub use config::MpcConfig;
 pub use csmpc_parallel::ParallelismMode;
 pub use distributed::{graph_words, DistributedGraph};
 pub use faults::{
-    Checkpoint, FaultEvent, FaultKind, FaultPlan, Partition, RecoveryEvent, RecoveryPolicy,
+    Checkpoint, FaultDriver, FaultEvent, FaultKind, FaultPlan, Partition, RecoveryEvent,
+    RecoveryPolicy,
 };
 pub use phase::{PhaseTimer, PhaseTimes};
 pub use primitives::{

@@ -1,9 +1,9 @@
 //! Phase-timing observability for the engine hot paths.
 //!
 //! The exact engine's round loop divides into *route* (sorting pending
-//! messages into per-machine delivery ranges, plus straggler carry),
-//! *intake* (receive-cap enforcement and reorder faults), *step* (the
-//! per-machine round callbacks), *merge* (send caps, ledger deltas, tag
+//! messages into per-machine delivery ranges), *intake* (receive-cap
+//! enforcement and reorder faults), *step* (the per-machine round
+//! callbacks), *merge* (straggler carry, send caps, ledger deltas, tag
 //! propagation, transport coins), and *checkpoint* (snapshot capture and
 //! restore). [`PhaseTimes`] attributes wall-clock time to each so a perf
 //! regression is attributable to a phase rather than a geomean.
@@ -32,17 +32,18 @@ use std::time::Instant;
 /// are unaffected by host timing noise.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseTimes {
-    /// Sorting pending messages into per-machine delivery ranges,
-    /// retransmission/partition-heal delivery, and straggler carry — plus,
-    /// on the accounted layer, graph distribution.
+    /// Sorting pending messages into per-machine delivery ranges and
+    /// retransmission/partition-heal delivery — plus, on the accounted
+    /// layer, graph distribution.
     pub route_ns: u64,
     /// Inbox receive-cap enforcement and reorder-fault application.
     pub intake_ns: u64,
     /// Per-machine round callbacks — and, on the accounted layer, the
     /// per-vertex sweeps (ball collection, label updates).
     pub step_ns: u64,
-    /// Send caps, storage charges, ledger-delta absorption, component-tag
-    /// propagation, transport coins, and outbox staging.
+    /// Straggler carry, send caps, storage charges, ledger-delta
+    /// absorption, component-tag propagation, transport coins, and outbox
+    /// staging.
     pub merge_ns: u64,
     /// Checkpoint capture and restore.
     pub checkpoint_ns: u64,

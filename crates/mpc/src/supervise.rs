@@ -387,14 +387,8 @@ where
         Ok(labels) => {
             // The run completed; recovered faults are exact (replayed from
             // checkpoints), so only quarantined machines taint components.
-            let tainted = tainted_components(
-                &cluster,
-                cluster
-                    .quarantined_machines()
-                    .iter()
-                    .copied()
-                    .collect::<Vec<_>>(),
-            );
+            let tainted =
+                tainted_components(&cluster, cluster.quarantined_machines().iter().copied());
             if tainted.is_empty() {
                 return Ok(report(&cluster, SupervisedOutcome::Complete(labels)));
             }
@@ -405,8 +399,7 @@ where
             // Budget exhausted: an interrupted recovery may have left any
             // fault-touched component inconsistent, so all of them are
             // tainted — not just the quarantined ones.
-            let suspects: Vec<usize> = cluster.faulted_machines().iter().copied().collect();
-            let tainted = tainted_components(&cluster, suspects);
+            let tainted = tainted_components(&cluster, cluster.faulted_machines().iter().copied());
             // Healthy components re-run fault-free on spares, against a
             // graph whose tainted components are structural stand-ins.
             let salvage = salvage_graph(g, &tainted, plan.seed().derive(0xde9a));
